@@ -133,27 +133,24 @@ def _hy001_blanket_except(rule_obj, state: CodebaseState,
 
 
 @rule("HY002", "code", "info",
-      "telemetry counter never documented in the report panels")
-def _hy002_undocumented_counters(rule_obj, state: CodebaseState,
-                                 context) -> Iterator:
+      "telemetry metric family missing from the report catalog")
+def _hy002_uncatalogued_metrics(rule_obj, state: CodebaseState,
+                                context) -> Iterator:
     if not state.has_report_module:
         # analyzing a tree without the report module (a fixture, a
-        # single file): there is nothing to document against
+        # single file): there is no catalog to check against
         return
-    for name in sorted(state.counters_used):
-        # prefix match: panels reference labelled series as
-        # "name{label=...}" string prefixes
-        if any(doc.startswith(name)
-               for doc in state.documented_strings):
+    for name in sorted(state.metrics_used):
+        if name in state.documented_strings:
             continue
-        sites = sorted(state.counters_used[name])
+        sites = sorted(state.metrics_used[name])
         module, display, lineno = sites[0]
         yield rule_obj.emit(
             f"code:{module}",
-            f"counter {name!r} is incremented but never referenced by "
-            "a telemetry report panel, so operators cannot see it",
-            suggestion="add the counter to a panel in "
-                       "telemetry/report.py (or drop it)",
+            f"metric family {name!r} is recorded but not declared in "
+            "the telemetry catalog, so the report has no row for it",
+            suggestion="declare it in CATALOG in telemetry/report.py "
+                       "(or drop it)",
             source=display,
             line=lineno,
         )

@@ -18,7 +18,7 @@ plain indices:
   wider *worker-executed* set;
 * per-class lock inventories (``self._lock = threading.Lock()``-style
   assignments) for the lock-discipline pass;
-* every literal telemetry counter name for the hygiene pass.
+* every literal telemetry metric family name for the hygiene pass.
 
 Like every other analyzer subject, the state is a read-only snapshot:
 rules observe it and never mutate the ASTs behind it (pinned by the
@@ -174,7 +174,7 @@ class _FileIndex:
         self.registrations: list[_Registration] = []
         self.factory_kinds: dict[str, str] = {}  # factory name -> kind
         self.opted_out_kinds: set[str] = set()
-        self.counters: list[tuple[str, int]] = []  # (name, lineno)
+        self.metrics: list[tuple[str, int]] = []  # (family, lineno)
 
 
 def _index_file(file: SourceFile) -> _FileIndex:
@@ -285,7 +285,7 @@ def _scan_node(node: ast.AST, function: FunctionInfo | None,
         if function is not None:
             function.calls.append(site)
         _record_registration(node, site, index, scope)
-        _record_counter(node, site, index)
+        _record_metric(node, site, index)
     for child in ast.iter_child_nodes(node):
         if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef,
                               ast.ClassDef)):
@@ -350,13 +350,17 @@ def _record_processor_construction(node: ast.Call,
             index.opted_out_kinds.add(kind)
 
 
-def _record_counter(node: ast.Call, site: CallSite,
-                    index: _FileIndex) -> None:
-    if site.kind != "attr" or site.name != "counter":
+#: ``MetricsRegistry`` accessors whose first argument names a family.
+_METRIC_ACCESSORS = {"counter", "gauge", "histogram", "window"}
+
+
+def _record_metric(node: ast.Call, site: CallSite,
+                   index: _FileIndex) -> None:
+    if site.kind != "attr" or site.name not in _METRIC_ACCESSORS:
         return
     if node.args and isinstance(node.args[0], ast.Constant) \
             and isinstance(node.args[0].value, str):
-        index.counters.append((node.args[0].value, node.lineno))
+        index.metrics.append((node.args[0].value, node.lineno))
 
 
 class CodebaseState:
@@ -371,8 +375,8 @@ class CodebaseState:
         #: implementation qualname -> processor kind (or None if unknown)
         self.implementations: dict[str, str | None] = {}
         self.opted_out_kinds: set[str] = set()
-        #: counter name -> list of (module, display, lineno) use sites
-        self.counters_used: dict[str, list[tuple[str, str, int]]] = {}
+        #: metric family -> list of (module, display, lineno) use sites
+        self.metrics_used: dict[str, list[tuple[str, str, int]]] = {}
         #: string literals of ``telemetry.report``-style modules
         self.documented_strings: set[str] = set()
         self.has_report_module = False
@@ -406,8 +410,8 @@ class CodebaseState:
                 self.functions[info.qualname] = info
             for info in index.classes:
                 self.classes[info.qualname] = info
-            for name, lineno in index.counters:
-                self.counters_used.setdefault(name, []).append(
+            for name, lineno in index.metrics:
+                self.metrics_used.setdefault(name, []).append(
                     (module, index.file.display, lineno))
             if module.endswith("telemetry.report"):
                 self.has_report_module = True

@@ -173,8 +173,8 @@ def build_parser() -> argparse.ArgumentParser:
                        "every value)")
     stats.add_argument("--warm-cache", action="store_true",
                        help="run the workflow twice sharing a result "
-                       "cache, so the cache hit-rate panel appears in "
-                       "the report")
+                       "cache, so the result cache hit/miss rows appear "
+                       "in the report")
     stats.add_argument("--vault", action="store_true",
                        help="also exercise the preservation vault "
                        "(ingest, corrupt, audit, repair) so its "

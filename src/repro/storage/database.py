@@ -596,7 +596,6 @@ class Database:
         sessions are not wedged; the transaction object itself is dead
         (state ``failed``) and every further use raises."""
         with self._lock:
-            self._storage_counter("storage_failed_rollbacks_total").inc()
             transaction.journal_buffer = []
             self._release_transaction(transaction)
 

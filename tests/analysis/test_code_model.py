@@ -228,5 +228,5 @@ class TestRealTree:
         assert {"Database", "ResultCache", "Tracer"} <= locked
 
     def test_counter_literals_collected(self, state):
-        assert "workflow_runs_total" in state.counters_used
+        assert "workflow_runs_total" in state.metrics_used
         assert state.has_report_module

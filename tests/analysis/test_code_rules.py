@@ -357,6 +357,25 @@ class TestHygiene:
         assert len(names) == 1
         assert "orphan_total" in names[0]
 
+    def test_hy002_checks_every_instrument_kind_by_exact_name(
+            self, tmp_path):
+        pkg = tmp_path / "telemetry"
+        pkg.mkdir()
+        (pkg / "__init__.py").write_text("", encoding="utf-8")
+        (pkg / "report.py").write_text(
+            "CATALOG = ['queue_depth_now', 'latency_seconds']\n",
+            encoding="utf-8")
+        (tmp_path / "work.py").write_text(
+            "def run(metrics):\n"
+            "    metrics.gauge('queue_depth').set(1)\n"
+            "    metrics.histogram('latency_seconds').observe(1)\n"
+            "    metrics.window('accuracy').observe(1)\n",
+            encoding="utf-8")
+        report = Analyzer().analyze_code([tmp_path])
+        flagged = sorted(d.message.split("'")[1] for d in report.diagnostics
+                         if d.rule_id == "HY002")
+        assert flagged == ["accuracy", "queue_depth"]
+
     def test_hy003_hash_in_string_not_flagged(self, tmp_path):
         report, rules = _rules_for(tmp_path, (
             "MESSAGE = 'not a comment: # noqa'\n"
