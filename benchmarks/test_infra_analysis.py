@@ -19,31 +19,28 @@ c. **determinism** — the cold and warm reports agree byte-for-byte.
 
 from __future__ import annotations
 
-import json
-import os
 import time
-from pathlib import Path
 
 import pytest
 
+from harness import ROOT, Bench
 from repro.analysis import Analyzer
 from repro.analysis.code import CodebaseState, ModuleLoader
 
 pytestmark = pytest.mark.smoke
 
-REPO = Path(__file__).resolve().parent.parent
-SRC = REPO / "src" / "repro"
-RESULTS_PATH = REPO / "BENCH_analysis.json"
+SRC = ROOT / "src" / "repro"
 
 MIN_FILES_PER_SECOND = 10.0
 MIN_WARM_SPEEDUP = 1.2
-STRICT = os.environ.get("REPRO_BENCH_STRICT") == "1"
+
+bench = Bench("analysis")
 
 
 def _timed_pass(loader: ModuleLoader) -> tuple[float, CodebaseState, dict]:
     start = time.perf_counter()
     state = CodebaseState.from_paths([SRC], loader=loader,
-                                     display_root=str(REPO))
+                                     display_root=str(ROOT))
     report = Analyzer().analyze_code(state)
     return time.perf_counter() - start, state, report.to_dict()
 
@@ -60,38 +57,21 @@ def test_full_tree_analysis_throughput():
     functions = len(state.functions)
     files_per_second = round(files / max(cold_seconds, 1e-9), 1)
     warm_speedup = round(cold_seconds / max(warm_seconds, 1e-9), 2)
-    results = {
-        "files": files,
-        "functions": functions,
-        "rules_run": 12,
-        "findings": cold_report["summary"]["total"],
-        "cold_seconds": round(cold_seconds, 4),
-        "warm_seconds": round(warm_seconds, 4),
-        "files_per_second": files_per_second,
-        "warm_speedup": warm_speedup,
-        "min_files_per_second": MIN_FILES_PER_SECOND,
-        "min_warm_speedup": MIN_WARM_SPEEDUP,
-    }
-    RESULTS_PATH.write_text(
-        json.dumps({"scenarios": {"full_tree": results},
-                    "min_files_per_second": MIN_FILES_PER_SECOND,
-                    "min_warm_speedup": MIN_WARM_SPEEDUP},
-                   indent=2, sort_keys=True) + "\n",
-        encoding="utf-8")
+    bench.record(
+        "full_tree",
+        files=files,
+        functions=functions,
+        rules_run=12,
+        findings=cold_report["summary"]["total"],
+        cold_seconds=round(cold_seconds, 4),
+        warm_seconds=round(warm_seconds, 4),
+        files_per_second=files_per_second,
+        warm_speedup=warm_speedup,
+    )
     print(f"\ncode analysis over {files} files / {functions} "
           f"functions: cold {cold_seconds * 1e3:.0f} ms "
           f"({files_per_second} files/s), warm "
           f"{warm_seconds * 1e3:.0f} ms ({warm_speedup}x)")
-
-    if STRICT:
-        assert files_per_second >= MIN_FILES_PER_SECOND
-        assert warm_speedup >= MIN_WARM_SPEEDUP
-    else:
-        if files_per_second < MIN_FILES_PER_SECOND:
-            print(f"advisory: {files_per_second} files/s below the "
-                  f"{MIN_FILES_PER_SECOND} floor on this runner "
-                  "(strict gate: REPRO_BENCH_STRICT=1)")
-        if warm_speedup < MIN_WARM_SPEEDUP:
-            print(f"advisory: warm speedup {warm_speedup}x below the "
-                  f"{MIN_WARM_SPEEDUP}x floor on this runner "
-                  "(strict gate: REPRO_BENCH_STRICT=1)")
+    bench.floor("full_tree", "files_per_second", MIN_FILES_PER_SECOND,
+                strict=True)
+    bench.floor("full_tree", "warm_speedup", MIN_WARM_SPEEDUP, strict=True)

@@ -22,12 +22,11 @@ cache state — the speedup must never buy a different answer.
 
 from __future__ import annotations
 
-import json
 import time
-from pathlib import Path
 
 import pytest
 
+from harness import Bench, timed
 from repro.workflow.builtins import register_function
 from repro.workflow.cache import ResultCache
 from repro.workflow.engine import WorkflowEngine
@@ -35,15 +34,14 @@ from repro.workflow.model import Processor, Workflow
 
 pytestmark = pytest.mark.smoke
 
-RESULTS_PATH = Path(__file__).resolve().parent.parent / "BENCH_engine.json"
-
 FAN_OUT = 16
 WORK_SECONDS = 0.02
 PARALLEL_WORKERS = 8
 MIN_PARALLEL_SPEEDUP = 2.0
 MIN_CACHE_SPEEDUP = 5.0
 
-_results: dict[str, dict[str, float]] = {}
+bench = Bench("engine", fan_out=FAN_OUT, work_seconds=WORK_SECONDS,
+              parallel_workers=PARALLEL_WORKERS)
 
 
 def _work(payload):
@@ -77,39 +75,14 @@ def fan_out_workflow() -> Workflow:
 
 
 def _record(name: str, baseline_s: float, improved_s: float,
-            **extra: float) -> float:
-    speedup = baseline_s / max(improved_s, 1e-9)
-    _results[name] = {
-        "baseline_seconds": round(baseline_s, 6),
-        "improved_seconds": round(improved_s, 6),
-        "speedup": round(speedup, 2),
-        **extra,
-    }
+            minimum: float, **extra: float) -> None:
+    speedup = round(baseline_s / max(improved_s, 1e-9), 2)
+    bench.record(name, baseline_seconds=round(baseline_s, 6),
+                 improved_seconds=round(improved_s, 6), speedup=speedup,
+                 **extra)
     print(f"\n{name}: baseline {baseline_s * 1000:.1f} ms vs "
           f"improved {improved_s * 1000:.1f} ms ({speedup:.1f}x)")
-    return speedup
-
-
-def _flush_results() -> None:
-    RESULTS_PATH.write_text(
-        json.dumps({"fan_out": FAN_OUT,
-                    "work_seconds": WORK_SECONDS,
-                    "parallel_workers": PARALLEL_WORKERS,
-                    "min_parallel_speedup": MIN_PARALLEL_SPEEDUP,
-                    "min_cache_speedup": MIN_CACHE_SPEEDUP,
-                    "scenarios": _results},
-                   indent=2, sort_keys=True) + "\n",
-        encoding="utf-8")
-
-
-def _timed(func, repeats: int = 3) -> float:
-    """Best-of-N wall time — robust against scheduler noise in CI."""
-    best = float("inf")
-    for __ in range(repeats):
-        start = time.perf_counter()
-        func()
-        best = min(best, time.perf_counter() - start)
-    return best
+    bench.floor(name, "speedup", minimum)
 
 
 @pytest.mark.benchmark(group="infra-engine")
@@ -125,14 +98,13 @@ def test_parallel_waves_beat_sequential():
     assert ([r.processor for r in slow.trace.processor_runs]
             == [r.processor for r in fast.trace.processor_runs])
 
-    speedup = _record(
+    _record(
         "a_wide_fanout_parallel_waves",
-        _timed(lambda: sequential.run(workflow, {"payload": 21})),
-        _timed(lambda: parallel.run(workflow, {"payload": 21})),
+        timed(lambda: sequential.run(workflow, {"payload": 21})),
+        timed(lambda: parallel.run(workflow, {"payload": 21})),
+        MIN_PARALLEL_SPEEDUP,
         processors=FAN_OUT + 1,
     )
-    _flush_results()
-    assert speedup >= MIN_PARALLEL_SPEEDUP
 
 
 @pytest.mark.benchmark(group="infra-engine")
@@ -151,12 +123,11 @@ def test_warm_cache_rerun_beats_cold():
     assert len(warm_result.cached_processors) == FAN_OUT + 1
     assert all(run.cached_from for run in warm_result.trace.processor_runs)
 
-    speedup = _record(
+    _record(
         "b_warm_cache_rerun",
-        _timed(cold, repeats=2),
-        _timed(lambda: warm_engine.run(workflow, {"payload": 21}),
-               repeats=2),
+        timed(cold, repeats=2),
+        timed(lambda: warm_engine.run(workflow, {"payload": 21}),
+              repeats=2),
+        MIN_CACHE_SPEEDUP,
         cached_processors=float(FAN_OUT + 1),
     )
-    _flush_results()
-    assert speedup >= MIN_CACHE_SPEEDUP

@@ -15,13 +15,11 @@ b. **Erasure vs replication** — at equal-or-better modeled durability,
 
 from __future__ import annotations
 
-import json
-import os
 import time
-from pathlib import Path
 
 import pytest
 
+from harness import Bench
 from repro.archive.federation import FederatedVault
 from repro.archive.merkle import MerkleManifest
 from repro.archive.placement import PlacementPolicy, RedundancyScheme
@@ -31,28 +29,15 @@ from repro.telemetry import Telemetry
 
 pytestmark = pytest.mark.smoke
 
-RESULTS_PATH = (Path(__file__).resolve().parent.parent
-                / "BENCH_federation.json")
-
 N_OBJECTS = 10_000
 #: floor for the Merkle-sync speedup; enforced only under
 #: REPRO_BENCH_STRICT=1 (shared CI runners make wall-clock advisory)
 MIN_SYNC_SPEEDUP = 5.0
-STRICT = os.environ.get("REPRO_BENCH_STRICT") == "1"
 
 SITE_LOSS_PROBABILITY = 0.05
 
-_results: dict[str, object] = {}
-
-
-def _flush_results() -> None:
-    RESULTS_PATH.write_text(
-        json.dumps({"objects": N_OBJECTS,
-                    "min_sync_speedup": MIN_SYNC_SPEEDUP,
-                    "site_loss_probability": SITE_LOSS_PROBABILITY,
-                    "scenarios": _results},
-                   indent=2, sort_keys=True) + "\n",
-        encoding="utf-8")
+bench = Bench("federation", objects=N_OBJECTS,
+              site_loss_probability=SITE_LOSS_PROBABILITY)
 
 
 def test_merkle_sync_vs_full_sweep():
@@ -90,23 +75,19 @@ def test_merkle_sync_vs_full_sweep():
     assert diff.digests == [victim]
 
     speedup = round(sweep_seconds / diff_seconds, 1)
-    _results["merkle_sync"] = {
-        "objects": N_OBJECTS,
-        "divergent": 1,
-        "full_sweep_seconds": round(sweep_seconds, 4),
-        "merkle_diff_seconds": round(diff_seconds, 6),
-        "nodes_compared": diff.nodes_compared,
-        "speedup": speedup,
-    }
+    bench.record(
+        "merkle_sync",
+        objects=N_OBJECTS,
+        divergent=1,
+        full_sweep_seconds=round(sweep_seconds, 4),
+        merkle_diff_seconds=round(diff_seconds, 6),
+        nodes_compared=diff.nodes_compared,
+        speedup=speedup,
+    )
     print(f"\nmerkle sync: full sweep {sweep_seconds * 1000:.0f} ms vs "
           f"diff {diff_seconds * 1000:.2f} ms over {N_OBJECTS} objects "
           f"= {speedup}x ({diff.nodes_compared} nodes compared)")
-    _flush_results()
-    if STRICT:
-        assert speedup >= MIN_SYNC_SPEEDUP
-    elif speedup < MIN_SYNC_SPEEDUP:
-        print(f"advisory: speedup {speedup}x below the {MIN_SYNC_SPEEDUP}x "
-              "floor on this runner (strict gate: REPRO_BENCH_STRICT=1)")
+    bench.floor("merkle_sync", "speedup", MIN_SYNC_SPEEDUP, strict=True)
 
 
 def test_erasure_cheaper_than_replication_at_equal_durability():
@@ -144,14 +125,13 @@ def test_erasure_cheaper_than_replication_at_equal_durability():
         }
 
     erasure, replica = stored["erasure"], stored["replica_x3"]
-    _results["erasure_vs_replication"] = stored
+    bench.record("erasure_vs_replication", **stored)
     print(f"\nerasure 4-of-8: {erasure['stored_bytes']:.0f} B "
           f"(x{erasure['overhead_factor']}) at durability "
           f"{erasure['durability']:.6f}\n"
           f"replica x3:     {replica['stored_bytes']:.0f} B "
           f"(x{replica['overhead_factor']}) at durability "
           f"{replica['durability']:.6f}")
-    _flush_results()
 
     # the relation the vault's per-level policy is built on: fewer
     # stored bytes AND at-least-equal modeled durability

@@ -1,8 +1,9 @@
 """Infrastructure benchmark: the cost-based query planner.
 
 Three before/after comparisons against the *seed* engine's behavior,
-each asserting a >=2x speedup and recording its numbers in
-``BENCH_planner.json`` at the repository root:
+plus one index-vs-scan check on the storage substrate, each asserting
+its speedup floor and recording its numbers in ``BENCH_planner.json``
+at the repository root:
 
 a. **Selective equality + wide range** — the seed planner blindly
    intersected every applicable index, so a selective species probe paid
@@ -14,6 +15,9 @@ b. **order_by + limit top-k** — the seed executor materialized and
 c. **Bulk ingest** — ``bulk_load`` batches the unique-check, defers
    index maintenance and writes one journal entry, against the seed's
    row-at-a-time ``insert`` loop.
+d. **Indexed point lookup** — the repositories query by species name
+   constantly, so an equality probe on the species hash index must beat
+   the same query over an unindexed copy of the table by 5x.
 
 The legacy comparators reproduce the seed algorithms on top of today's
 primitives (``Table.candidate_rowids`` is the seed's always-intersect
@@ -23,71 +27,54 @@ code underneath and the delta is attributable to the planner/bulk path.
 
 from __future__ import annotations
 
-import json
-import time
-from pathlib import Path
-
 import pytest
 
+from harness import Bench, timed
 from repro.storage import Column, Database, TableSchema, col
 from repro.storage import column_types as ct
 
 pytestmark = pytest.mark.smoke
 
-RESULTS_PATH = Path(__file__).resolve().parent.parent / "BENCH_planner.json"
-
 N_ROWS = 12_000
 MIN_SPEEDUP = 2.0
+MIN_INDEX_SPEEDUP = 5.0
 
-_results: dict[str, dict[str, float]] = {}
+bench = Bench("planner", rows=N_ROWS)
 
 
 def _record(name: str, legacy_s: float, planner_s: float,
-            **extra: float) -> float:
-    speedup = legacy_s / max(planner_s, 1e-9)
-    _results[name] = {
-        "legacy_seconds": round(legacy_s, 6),
-        "planner_seconds": round(planner_s, 6),
-        "speedup": round(speedup, 2),
-        **extra,
-    }
+            **extra: float) -> None:
+    speedup = round(legacy_s / max(planner_s, 1e-9), 2)
+    bench.record(name, legacy_seconds=round(legacy_s, 6),
+                 planner_seconds=round(planner_s, 6), speedup=speedup,
+                 **extra)
     print(f"\n{name}: legacy {legacy_s * 1000:.1f} ms vs "
           f"planner {planner_s * 1000:.1f} ms ({speedup:.1f}x)")
-    return speedup
+    bench.floor(name, "speedup", MIN_SPEEDUP)
 
 
-def _flush_results() -> None:
-    RESULTS_PATH.write_text(
-        json.dumps({"rows": N_ROWS, "min_speedup": MIN_SPEEDUP,
-                    "scenarios": _results},
-                   indent=2, sort_keys=True) + "\n",
-        encoding="utf-8")
-
-
-def _timed(func, repeats: int = 3) -> float:
-    """Best-of-N wall time — robust against scheduler noise in CI."""
-    best = float("inf")
-    for __ in range(repeats):
-        start = time.perf_counter()
-        func()
-        best = min(best, time.perf_counter() - start)
-    return best
-
-
-@pytest.fixture(scope="module")
-def bench_db():
-    database = Database("planner_bench")
-    database.create_table(TableSchema("r", [
+def _schema(name: str = "r") -> TableSchema:
+    return TableSchema(name, [
         Column("id", ct.INTEGER),
         Column("species", ct.TEXT),
         Column("year", ct.INTEGER),
         Column("score", ct.REAL),
-    ], primary_key="id"))
-    database.bulk_load("r", [
-        {"id": i, "species": f"sp{i % 500}", "year": 1960 + i % 54,
-         "score": float(i % 1000)}
-        for i in range(N_ROWS)
-    ])
+    ], primary_key="id")
+
+
+def _rows(count: int) -> list[dict]:
+    return [{"id": i, "species": f"sp{i % 500}", "year": 1960 + i % 54,
+             "score": float(i % 1000)} for i in range(count)]
+
+
+@pytest.fixture(scope="module")
+def bench_db():
+    """Table ``r`` with a species hash index and a year sorted index,
+    and ``r_unindexed``, the same rows with no secondary index."""
+    database = Database("planner_bench")
+    for name in ("r", "r_unindexed"):
+        database.create_table(_schema(name))
+        database.bulk_load(name, _rows(N_ROWS))
     database.create_index("r", "species", "hash")
     database.create_index("r", "year", "sorted")
     return database
@@ -125,10 +112,7 @@ def test_selective_equality_beats_always_intersect(bench_db):
     fast = bench_db.query("r").where(predicate).all()
     assert fast == _legacy_filtered_rows(table, predicate)
 
-    speedup = _record("a_selective_indexed_equality",
-                      _timed(legacy), _timed(planner))
-    _flush_results()
-    assert speedup >= MIN_SPEEDUP
+    _record("a_selective_indexed_equality", timed(legacy), timed(planner))
 
 
 @pytest.mark.benchmark(group="infra-planner")
@@ -151,27 +135,17 @@ def test_ordered_topk_beats_full_sort(bench_db):
     rows.sort(key=lambda row: (row["year"] is None, row["year"]))
     assert query.all() == rows[:10]
 
-    speedup = _record("b_order_by_limit_topk",
-                      _timed(legacy), _timed(planner))
-    _flush_results()
-    assert speedup >= MIN_SPEEDUP
+    _record("b_order_by_limit_topk", timed(legacy), timed(planner))
 
 
 @pytest.mark.benchmark(group="infra-planner")
 def test_bulk_ingest_beats_row_at_a_time(tmp_path):
-    rows = [{"id": i, "species": f"sp{i % 500}", "year": 1960 + i % 54,
-             "score": float(i % 1000)} for i in range(10_000)]
-    schema = TableSchema("r", [
-        Column("id", ct.INTEGER),
-        Column("species", ct.TEXT),
-        Column("year", ct.INTEGER),
-        Column("score", ct.REAL),
-    ], primary_key="id")
+    rows = _rows(10_000)
 
     def fresh(journal_name):
         database = Database("ingest",
                             journal_path=tmp_path / journal_name)
-        database.create_table(TableSchema.from_dict(schema.to_dict()))
+        database.create_table(_schema())
         database.create_index("r", "species", "hash")
         database.create_index("r", "year", "sorted")
         return database
@@ -189,8 +163,28 @@ def test_bulk_ingest_beats_row_at_a_time(tmp_path):
         database.bulk_load("r", rows)
         assert database.count("r") == len(rows)
 
-    speedup = _record("c_bulk_ingest_10k_rows",
-                      _timed(legacy, repeats=2), _timed(planner, repeats=2),
-                      rows_ingested=len(rows))
-    _flush_results()
-    assert speedup >= MIN_SPEEDUP
+    _record("c_bulk_ingest_10k_rows",
+            timed(legacy, repeats=2), timed(planner, repeats=2),
+            rows_ingested=len(rows))
+
+
+@pytest.mark.benchmark(group="infra-planner")
+def test_indexed_point_lookup_beats_full_scan(bench_db):
+    def lookups(table):
+        return sum(
+            bench_db.query(table).where(
+                col("species") == f"sp{i * 7 % 500}").count()
+            for i in range(50))
+
+    assert lookups("r") == lookups("r_unindexed") == 50 * 24
+    assert not bench_db.query("r").where(
+        col("species") == "sp1").explain()["full_scan"]
+
+    scan_s = timed(lambda: lookups("r_unindexed"))
+    index_s = timed(lambda: lookups("r"))
+    speedup = round(scan_s / max(index_s, 1e-9), 2)
+    bench.record("d_indexed_point_lookup", scan_seconds=round(scan_s, 6),
+                 index_seconds=round(index_s, 6), speedup=speedup)
+    print(f"\nindexed {index_s * 1000:.1f} ms vs "
+          f"scan {scan_s * 1000:.1f} ms ({speedup:.0f}x)")
+    bench.floor("d_indexed_point_lookup", "speedup", MIN_INDEX_SPEEDUP)

@@ -19,39 +19,23 @@ c. **bounded traversal** — a lineage query wired through a 10k-run
 from __future__ import annotations
 
 import gc
-import json
-import os
 import time
 import tracemalloc
-from pathlib import Path
 
 import pytest
 
+from harness import Bench
 from repro.provenance.opm import OPMGraph
 from repro.provenance.store import ProvenanceStore, TraversalBudget
 
 pytestmark = pytest.mark.smoke
 
-RESULTS_PATH = (Path(__file__).resolve().parent.parent
-                / "BENCH_provstore.json")
-
 N_RUNS = 10_000
 N_LOOKUPS = 200
 MIN_LOOKUP_SPEEDUP = 5.0
 MIN_MEMORY_RATIO = 3.0
-STRICT = os.environ.get("REPRO_BENCH_STRICT") == "1"
 
-_results: dict[str, object] = {}
-
-
-def _flush_results() -> None:
-    RESULTS_PATH.write_text(
-        json.dumps({"runs": N_RUNS,
-                    "min_lookup_speedup": MIN_LOOKUP_SPEEDUP,
-                    "min_memory_ratio": MIN_MEMORY_RATIO,
-                    "scenarios": _results},
-                   indent=2, sort_keys=True) + "\n",
-        encoding="utf-8")
+bench = Bench("provstore", runs=N_RUNS)
 
 
 def _run_id(index: int) -> str:
@@ -138,33 +122,29 @@ def test_store_vs_naive_repository_at_10k_runs():
     speedup = round(naive_lookup_seconds
                     / max(store_lookup_seconds, 1e-9), 1)
     memory_ratio = round(naive_bytes / max(store_bytes, 1), 1)
-    _results["store_vs_naive"] = {
-        "runs": N_RUNS,
-        "lookups": len(targets),
-        "naive_lookup_seconds": round(naive_lookup_seconds, 6),
-        "store_lookup_seconds": round(store_lookup_seconds, 9),
-        "lookup_speedup": speedup,
-        "naive_bytes": naive_bytes,
-        "store_bytes": store_bytes,
-        "memory_ratio": memory_ratio,
-        "sealed_segment_bytes": store.memory_bytes(),
-        "manifest": store.manifest_counts(),
-    }
+    bench.record(
+        "store_vs_naive",
+        runs=N_RUNS,
+        lookups=len(targets),
+        naive_lookup_seconds=round(naive_lookup_seconds, 6),
+        store_lookup_seconds=round(store_lookup_seconds, 9),
+        lookup_speedup=speedup,
+        naive_bytes=naive_bytes,
+        store_bytes=store_bytes,
+        memory_ratio=memory_ratio,
+        sealed_segment_bytes=store.memory_bytes(),
+        manifest=store.manifest_counts(),
+    )
     print(f"\nprovstore at {N_RUNS} runs: lookup "
           f"{naive_lookup_seconds * 1e3:.2f} ms -> "
           f"{store_lookup_seconds * 1e6:.1f} µs ({speedup}x), memory "
           f"{naive_bytes / 1e6:.1f} MB -> {store_bytes / 1e6:.1f} MB "
           f"({memory_ratio}x)")
-    _flush_results()
 
     # memory is a same-interpreter relation: always enforced
-    assert memory_ratio >= MIN_MEMORY_RATIO
-    if STRICT:
-        assert speedup >= MIN_LOOKUP_SPEEDUP
-    elif speedup < MIN_LOOKUP_SPEEDUP:
-        print(f"advisory: lookup speedup {speedup}x below the "
-              f"{MIN_LOOKUP_SPEEDUP}x floor on this runner "
-              "(strict gate: REPRO_BENCH_STRICT=1)")
+    bench.floor("store_vs_naive", "memory_ratio", MIN_MEMORY_RATIO)
+    bench.floor("store_vs_naive", "lookup_speedup", MIN_LOOKUP_SPEEDUP,
+                strict=True)
 
 
 def test_lineage_respects_node_budget_at_scale():
@@ -184,18 +164,18 @@ def test_lineage_respects_node_budget_at_scale():
 
     full = store.ancestors("cas:0001")
     chain = store.cached_from_chain(f"{_run_id(N_RUNS - 1)}/reader")
-    _results["bounded_traversal"] = {
-        "budget_nodes": 64,
-        "bounded_result_nodes": len(bounded.node_ids),
-        "bounded_truncated": bounded.truncated,
-        "bounded_seconds": round(bounded_seconds, 6),
-        "unbounded_result_nodes": len(full.node_ids),
-        "replay_chain_length": len(chain["chain"]),
-        "replay_origin": chain["origin"],
-    }
+    bench.record(
+        "bounded_traversal",
+        budget_nodes=64,
+        bounded_result_nodes=len(bounded.node_ids),
+        bounded_truncated=bounded.truncated,
+        bounded_seconds=round(bounded_seconds, 6),
+        unbounded_result_nodes=len(full.node_ids),
+        replay_chain_length=len(chain["chain"]),
+        replay_origin=chain["origin"],
+    )
     print(f"\nbounded traversal: {len(bounded.node_ids)} nodes "
           f"(truncated={bounded.truncated}) vs {len(full.node_ids)} "
           f"unbounded; replay chain depth {len(chain['chain'])}")
-    _flush_results()
     if full.truncated is False and len(full.node_ids) > 64:
         assert bounded.truncated

@@ -18,12 +18,11 @@ actual rates for the CI history.
 from __future__ import annotations
 
 import datetime as dt
-import json
 import time
-from pathlib import Path
 
 import pytest
 
+from harness import Bench
 from repro.archive import PreservationVault
 from repro.core.preservation import PreservationLevel
 from repro.sounds.collection import SoundCollection
@@ -31,8 +30,6 @@ from repro.sounds.record import SoundRecord
 from repro.telemetry import Telemetry
 
 pytestmark = pytest.mark.smoke
-
-RESULTS_PATH = Path(__file__).resolve().parent.parent / "BENCH_vault.json"
 
 N_RECORDS = 1_500
 REPLICAS = 3
@@ -43,15 +40,7 @@ MIN_AUDIT_RATE = 100.0
 
 _FORMATS = ("magnetic tape", "WAV", "AIFF", "MP3", "ATRAC")
 
-_results: dict[str, dict[str, float]] = {}
-
-
-def _flush_results() -> None:
-    RESULTS_PATH.write_text(
-        json.dumps({"records": N_RECORDS, "replicas": REPLICAS,
-                    "scenarios": _results},
-                   indent=2, sort_keys=True) + "\n",
-        encoding="utf-8")
+bench = Bench("vault", records=N_RECORDS, replicas=REPLICAS)
 
 
 def _bench_collection() -> SoundCollection:
@@ -88,20 +77,20 @@ def loaded_vault():
 def test_ingest_throughput(loaded_vault):
     __, report, elapsed = loaded_vault
     rate = report.records / elapsed
-    _results["ingest"] = {
-        "records": report.records,
-        "objects": report.new_objects,
-        "logical_bytes": report.logical_bytes,
-        "seconds": round(elapsed, 4),
-        "records_per_second": round(rate, 1),
-        "replicated_bytes_per_second": round(
+    bench.record(
+        "ingest",
+        records=report.records,
+        objects=report.new_objects,
+        logical_bytes=report.logical_bytes,
+        seconds=round(elapsed, 4),
+        records_per_second=round(rate, 1),
+        replicated_bytes_per_second=round(
             report.logical_bytes * REPLICAS / elapsed, 1),
-    }
+    )
     print(f"\ningest: {report.records} records x{REPLICAS} replicas in "
           f"{elapsed * 1000:.0f} ms ({rate:.0f} records/s)")
-    _flush_results()
     assert report.new_objects == N_RECORDS + 1
-    assert rate > MIN_INGEST_RATE
+    bench.floor("ingest", "records_per_second", MIN_INGEST_RATE)
 
 
 def test_audit_throughput(loaded_vault):
@@ -110,17 +99,17 @@ def test_audit_throughput(loaded_vault):
     report = vault.verify()
     elapsed = time.perf_counter() - start
     rate = report.objects_checked / elapsed
-    _results["audit"] = {
-        "objects": report.objects_checked,
-        "replicas": report.replicas_checked,
-        "bytes_audited": report.bytes_audited,
-        "seconds": round(elapsed, 4),
-        "objects_per_second": round(rate, 1),
-        "bytes_per_second": round(report.bytes_audited / elapsed, 1),
-    }
+    bench.record(
+        "audit",
+        objects=report.objects_checked,
+        replicas=report.replicas_checked,
+        bytes_audited=report.bytes_audited,
+        seconds=round(elapsed, 4),
+        objects_per_second=round(rate, 1),
+        bytes_per_second=round(report.bytes_audited / elapsed, 1),
+    )
     print(f"\naudit: {report.objects_checked} objects / "
           f"{report.replicas_checked} replicas in "
           f"{elapsed * 1000:.0f} ms ({rate:.0f} objects/s)")
-    _flush_results()
     assert report.healthy
-    assert rate > MIN_AUDIT_RATE
+    bench.floor("audit", "objects_per_second", MIN_AUDIT_RATE)

@@ -327,11 +327,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _small_world(seed: int, records: int, species: int, outdated: int):
     """A catalogue + collection sized for CLI experiments."""
+    from repro.errors import ReproError
     from repro.sounds.generator import CollectionConfig, generate_collection
     from repro.taxonomy.backbone import BackboneConfig, build_backbone
     from repro.taxonomy.catalogue import CatalogueOfLife
     from repro.taxonomy.synonyms import generate_changes
 
+    if records < species:
+        raise ReproError(f"--records ({records}) must be at least "
+                         f"--species ({species})")
     backbone = build_backbone(BackboneConfig(
         seed=seed, total_species=max(400, species * 2)))
     registry = generate_changes(backbone, yearly_rate=0.012, seed=seed)
@@ -854,12 +858,12 @@ def _command_stream(args: argparse.Namespace) -> int:
         scheduler = RecheckScheduler(clock=curator.engine.clock,
                                      interval_seconds=7 * 24 * 3600,
                                      telemetry=telemetry)
-        for shard in curator.index.subjects():
+        for shard in cold.shard_digests:
             scheduler.note_assessed(shard)
         catalogue.advance_to(args.to_year)
         dropped = curator.bump_resource("catalogue", args.to_year)
         warm = curator.assess()
-        for shard in curator.index.subjects():
+        for shard in warm.shard_digests:
             scheduler.note_assessed(shard)
         curator.engine.clock.advance(8 * 24 * 3600)
         due = scheduler.due()
@@ -1169,8 +1173,17 @@ _COMMANDS = {
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
-    return _COMMANDS[args.command](args)
+    """Run one command; a :class:`~repro.errors.ReproError` (bad input,
+    a refused migration) ends in one ``repro: error:`` line on stderr
+    and exit status 2, like an argument error."""
+    from repro.errors import ReproError
+
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    try:
+        return _COMMANDS[args.command](args)
+    except ReproError as error:
+        parser.exit(2, f"{parser.prog}: error: {error}\n")
 
 
 if __name__ == "__main__":

@@ -30,7 +30,7 @@ from repro.provenance.manager import ProvenanceManager
 from repro.sounds.collection import SoundCollection
 from repro.taxonomy.service import CatalogueService
 from repro.telemetry import Telemetry, get_telemetry
-from repro.workflow.cache import ResultCache
+from repro.workflow.cache import ResultCache, resource_key
 from repro.workflow.engine import WorkflowEngine
 
 __all__ = ["PipelineReport", "CurationPipeline", "CollectionSink",
@@ -240,7 +240,6 @@ class CurationPipeline:
         the superseded catalogue."""
         self.service.catalogue.advance_to(as_of_year)
         if self.engine.cache is not None:
-            from repro.streaming.deps import DependencyIndex
             self.engine.cache.invalidate_tags(
-                DependencyIndex.resource_key(CATALOGUE_RESOURCE))
+                resource_key(CATALOGUE_RESOURCE))
         return self.checker.run()

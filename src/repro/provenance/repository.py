@@ -21,7 +21,6 @@ columnar indexes instead of re-parsing every graph.
 from __future__ import annotations
 
 import json
-import warnings
 from typing import Any, Iterator
 
 from repro.errors import ProvenanceError
@@ -45,16 +44,12 @@ class ProvenanceRepository:
     Parameters
     ----------
     database:
-        Storage engine; a fresh in-memory one when omitted.
-    store:
-        The attached archival store.  ``None`` (default) creates one
-        on the same database; pass an existing
-        :class:`~repro.provenance.store.ProvenanceStore` to share, or
-        ``False`` to run store-less (legacy scans only).
+        Storage engine; a fresh in-memory one when omitted.  The
+        archival :class:`~repro.provenance.store.ProvenanceStore`
+        (``self.store``) always lives on the same database.
     """
 
-    def __init__(self, database: Database | None = None,
-                 store: ProvenanceStore | bool | None = None) -> None:
+    def __init__(self, database: Database | None = None) -> None:
         self.database = database or Database("provenance_repository")
         if not self.database.has_table(_RUNS):
             self.database.create_table(TableSchema(_RUNS, [
@@ -68,20 +63,13 @@ class ProvenanceRepository:
                 Column("workflow", ct.TEXT),
             ], primary_key="run_id"))
             self.database.create_index(_RUNS, "workflow_name", "hash")
-        if store is False:
-            self.store: ProvenanceStore | None = None
-        elif store is None or store is True:
-            self.store = ProvenanceStore(self.database)
-        else:
-            self.store = store
-        if self.store is not None:
-            self._sync_store()
+        self.store = ProvenanceStore(self.database)
+        self._sync_store()
 
     def _sync_store(self) -> None:
         """Re-index runs persisted here but absent from the store —
         the rebuild path after reattaching to a recovered database
         (tail runs are not persisted as segments; their graphs are)."""
-        assert self.store is not None
         if self.store.run_count() >= self.database.count(_RUNS):
             return
         missing = (
@@ -120,10 +108,9 @@ class ProvenanceRepository:
         else:
             rowid = self.database.rowid_for(_RUNS, trace.run_id)
             self.database.update(_RUNS, rowid, row)
-        if self.store is not None:
-            # append-only archive: a re-capture keeps the first
-            # archived skeleton (ingest_graph counts the skip)
-            self.store.ingest_graph(trace.run_id, graph)
+        # append-only archive: a re-capture keeps the first archived
+        # skeleton (ingest_graph counts the skip)
+        self.store.ingest_graph(trace.run_id, graph)
 
     # ------------------------------------------------------------------
     # reads
@@ -142,39 +129,17 @@ class ProvenanceRepository:
         ).first() is not None
 
     def run_count(self) -> int:
-        """How many runs are archived — read from the store manifest
-        when one is attached, so no table scan is ever needed."""
-        if self.store is not None:
-            counts = self.store.manifest_counts()
-            if "runs_total" in counts:
-                return int(counts["runs_total"])
+        """How many runs are archived — read from the store manifest,
+        so no table scan is needed."""
+        counts = self.store.manifest_counts()
+        if "runs_total" in counts:
+            return int(counts["runs_total"])
         return self.database.count(_RUNS)
 
-    def runs_for_artifact(self, artifact_id: str, *,
-                          scan: bool = False) -> list[str]:
-        """Every run whose OPM graph mentions ``artifact_id``.
-
-        Served by the store's backward (artifact -> runs) index.  The
-        pre-store behaviour — deserialize every graph and probe it —
-        survives as the ``scan=True`` / store-less path, deprecated
-        and counted (``provstore_legacy_artifact_scans_total``) so
-        dashboards surface callers still paying O(n-runs).
-        """
-        if self.store is not None and not scan:
-            return self.store.runs_for_artifact(artifact_id)
-        from repro.telemetry import get_telemetry
-        get_telemetry().metrics.counter(
-            "provstore_legacy_artifact_scans_total").inc()
-        warnings.warn(
-            "linear run scan for an artifact id is deprecated; attach "
-            "a ProvenanceStore and use its backward index",
-            DeprecationWarning, stacklevel=2)
-        matches = []
-        for row in self.database.query(_RUNS).select(
-                "run_id", "graph").order_by("run_id").all():
-            if graph_from_json(row["graph"]).has_node(artifact_id):
-                matches.append(row["run_id"])
-        return matches
+    def runs_for_artifact(self, artifact_id: str) -> list[str]:
+        """Every run whose OPM graph mentions ``artifact_id``, served by
+        the store's backward (artifact -> runs) index."""
+        return self.store.runs_for_artifact(artifact_id)
 
     def latest_run_id(self, workflow_name: str) -> str | None:
         ids = self.run_ids(workflow_name)

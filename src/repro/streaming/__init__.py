@@ -9,9 +9,6 @@ the **dirty set** instead:
 * :class:`ObservationStream` — a bounded micro-batching buffer with
   explicit backpressure (block-with-timeout or reject) feeding any
   ``add_all``-style sink through the storage engine's bulk write path;
-* :class:`DependencyIndex` — record ids and external-resource names
-  mapped to the assessment shards (and so cache tags / invocation keys)
-  that consumed them, turning "record X changed" into a dirty set;
 * :class:`IncrementalCurator` — shard-wise quality assessment through
   the workflow engine's tagged result cache: only dirty shards re-run,
   clean shards are reused, and the partial OPM runs are stitched into
@@ -21,14 +18,12 @@ the **dirty set** instead:
   workflow decay (via the memoized :class:`~repro.workflow.decay.DecayScanner`).
 """
 
-from repro.streaming.deps import DependencyIndex
 from repro.streaming.incremental import AssessmentResult, IncrementalCurator
 from repro.streaming.scheduler import RecheckScheduler
 from repro.streaming.stream import ObservationStream, StreamBackpressure
 
 __all__ = [
     "AssessmentResult",
-    "DependencyIndex",
     "IncrementalCurator",
     "ObservationStream",
     "RecheckScheduler",

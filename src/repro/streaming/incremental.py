@@ -38,9 +38,8 @@ from repro.hashing import canonical_digest
 from repro.provenance.manager import ProvenanceManager
 from repro.storage import Column, Database, TableSchema, col
 from repro.storage import column_types as ct
-from repro.streaming.deps import DependencyIndex
 from repro.telemetry import Telemetry, get_telemetry
-from repro.workflow.cache import ResultCache
+from repro.workflow.cache import ResultCache, record_key, resource_key
 from repro.workflow.engine import WorkflowEngine
 from repro.workflow.model import Processor, Workflow
 
@@ -170,7 +169,6 @@ class IncrementalCurator:
                                      cache=self.cache)
         self.provenance = provenance or ProvenanceManager()
         self.provenance.attach(self.engine)
-        self.index = DependencyIndex()
         self._resolver = resolver
         self._resource_versions: dict[str, Any] = dict(
             resource_versions or {})
@@ -321,12 +319,10 @@ class IncrementalCurator:
         ids = sorted({int(record_id) for record_id in record_ids})
         if not ids:
             return []
-        record_keys = [DependencyIndex.record_key(i) for i in ids]
-        dirty = set(self.index.subjects_of(*record_keys))
-        # records never seen by a sweep (fresh stream arrivals) map to
-        # their shard arithmetically
-        dirty.update(self._shard_key(self._shard_index(i)) for i in ids)
-        self.cache.invalidate_tags(*record_keys)
+        # shards are fixed id ranges, so a record (seen by a sweep or a
+        # fresh stream arrival) maps to its owning shard arithmetically
+        dirty = {self._shard_key(self._shard_index(i)) for i in ids}
+        self.cache.invalidate_tags(*(record_key(i) for i in ids))
         self._dirty.update(dirty)
         self.telemetry.metrics.counter(
             "streaming_dirty_records_total").inc(len(ids))
@@ -355,8 +351,7 @@ class IncrementalCurator:
         self._resource_versions[name] = (
             version if version is not None
             else (current + 1 if isinstance(current, int) else current))
-        dropped = self.cache.invalidate_tags(
-            DependencyIndex.resource_key(name))
+        dropped = self.cache.invalidate_tags(resource_key(name))
         self._dirty.update(self._results)
         return dropped
 
@@ -394,7 +389,7 @@ class IncrementalCurator:
                 # resource versions are part of the key: bumping one
                 # re-keys (and so re-runs) only this stage
                 "cache_tags": data_tags + [
-                    DependencyIndex.resource_key(resource)
+                    resource_key(resource)
                     for resource in sorted(self._resource_versions)
                 ],
                 "resource_versions": dict(self._resource_versions),
@@ -416,13 +411,9 @@ class IncrementalCurator:
         rows = self._rows_for_shard(index)
         shard_key = self._shard_key(index)
         if not rows:
-            self.index.forget(shard_key)
             self._sync_review(index, [])
             return None
-        record_keys = [
-            DependencyIndex.record_key(row[self.id_field])
-            for row in rows
-        ]
+        record_keys = [record_key(row[self.id_field]) for row in rows]
         workflow = self._shard_workflow(shard_key, record_keys)
         result = self.engine.run(workflow, {"rows": rows})
         outputs = result.outputs
@@ -433,10 +424,6 @@ class IncrementalCurator:
             "count": outputs["count"],
         }
         outcome["digest"] = canonical_digest(outcome)
-        self.index.register(shard_key, record_keys + [
-            DependencyIndex.resource_key(resource)
-            for resource in sorted(self._resource_versions)
-        ])
         self._sync_review(index, outputs["updates"])
         return outcome, result.run_id
 
@@ -559,5 +546,4 @@ class IncrementalCurator:
             "dirty_shards": len(self._dirty),
             "resource_versions": dict(self._resource_versions),
             "cache": self.cache.stats(),
-            "index": self.index.stats(),
         }

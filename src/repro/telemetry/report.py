@@ -164,8 +164,6 @@ CATALOG: tuple[MetricSpec, ...] = (
         ("provstore_queries_total", "counter", "lineage queries"),
         ("provstore_truncations_total", "counter",
          "budget-truncated queries"),
-        ("provstore_legacy_artifact_scans_total", "counter",
-         "deprecated O(n-runs) artifact scans"),
     ),
     *_panel(
         "static analysis",

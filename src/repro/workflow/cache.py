@@ -40,7 +40,8 @@ from typing import Any, Iterable, Mapping
 
 from repro.hashing import canonical_digest
 
-__all__ = ["CachedResult", "ResultCache", "invocation_key"]
+__all__ = ["CachedResult", "ResultCache", "invocation_key", "record_key",
+           "resource_key"]
 
 #: scalars whose canonical JSON form is a pure function of their value
 #: (dates/datetimes serialize via ``default=str``, which is stable)
@@ -85,6 +86,17 @@ def invocation_key(processor: Any, implementation: Any,
         "config": processor.config,
         "inputs": dict(bound),
     })
+
+
+def record_key(record_id: Any) -> str:
+    """The tag for one collection row an invocation read."""
+    return f"record:{record_id}"
+
+
+def resource_key(name: str) -> str:
+    """The tag for an external resource (taxonomy registry, gazetteer,
+    function table) an invocation's output depends on."""
+    return f"resource:{name}"
 
 
 class CachedResult:

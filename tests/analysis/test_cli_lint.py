@@ -85,10 +85,11 @@ class TestCliLint:
         payload = json.loads(capsys.readouterr().out)
         assert "WF006" not in {d["rule"] for d in payload["diagnostics"]}
 
-    def test_unknown_disable_raises(self):
-        from repro.errors import AnalysisError
-        with pytest.raises(AnalysisError):
+    def test_unknown_disable_raises(self, capsys):
+        with pytest.raises(SystemExit) as exited:
             main(["lint", "--disable", "GHOST", str(DEFECTIVE)])
+        assert exited.value.code == 2
+        assert "unknown rule 'GHOST'" in capsys.readouterr().err
 
     def test_baseline_workflow(self, tmp_path, capsys):
         baseline = tmp_path / "baseline.json"

@@ -291,30 +291,12 @@ class TestRepositoryIntegration:
             assert repository.runs_for_artifact("run-0001/a1") \
                 == ["run-0001"]
 
-    def test_legacy_scan_warns_and_counts(self):
-        repository = self._engine_world(runs=1)
-        from repro.telemetry import get_telemetry
-        before = get_telemetry().metrics.counter(
-            "provstore_legacy_artifact_scans_total").value
-        with pytest.deprecated_call():
-            rows = repository.runs_for_artifact("run-0001/a1",
-                                                scan=True)
-        assert rows == ["run-0001"]
-        after = get_telemetry().metrics.counter(
-            "provstore_legacy_artifact_scans_total").value
-        assert after == before + 1
-
-    def test_storeless_repository_still_scans(self):
-        repository = ProvenanceRepository(store=False)
-        assert repository.store is None
-        assert repository.run_count() == 0
-
     def test_reattach_resyncs_tail_runs(self):
         repository = self._engine_world(runs=3)
         database = repository.database
         # a fresh attach on the same database rebuilds the tail runs
         # (persisted as repository rows, not as sealed segments)
-        fresh = ProvenanceRepository(database, store=True)
+        fresh = ProvenanceRepository(database)
         assert fresh.store.run_count() == 3
         assert fresh.store.runs_for_artifact("run-0001/a1") \
             == ["run-0001"]

@@ -239,4 +239,3 @@ class TestValidation:
         assert stats["shards_known"] == 2
         assert stats["dirty_shards"] == 0
         assert stats["resource_versions"] == {"catalogue": 1}
-        assert stats["index"]["subjects"] == 2

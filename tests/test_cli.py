@@ -222,3 +222,18 @@ class TestStream:
         assert code == 0
         out = capsys.readouterr().out
         assert "streaming_sweeps_total" in out
+
+
+class TestInputErrors:
+    @pytest.mark.parametrize("argv", [
+        ["detect", "--records", "10", "--species", "50"],
+        ["vault", "migrate", "--target", "ATRAC"],
+        ["explain", "--eq", "species"],
+    ], ids=["records-below-species", "at-risk-target", "eq-without-value"])
+    def test_ends_in_one_error_line(self, argv, capsys, isolated_telemetry):
+        with pytest.raises(SystemExit) as exited:
+            main(argv)
+        assert exited.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("repro: error: ")
+        assert err.count("\n") == 1

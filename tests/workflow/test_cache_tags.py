@@ -1,10 +1,18 @@
 """Tag-based invalidation on the result cache."""
 
-from repro.workflow.cache import ResultCache
+from repro.workflow.cache import ResultCache, record_key, resource_key
 
 
 def put(cache, key, tags=()):
     cache.put(key, {"x": key}, source=f"run/{key}", tags=tags)
+
+
+class TestKeys:
+    def test_record_key(self):
+        assert record_key(42) == "record:42"
+
+    def test_resource_key(self):
+        assert resource_key("catalogue") == "resource:catalogue"
 
 
 class TestTagging:
