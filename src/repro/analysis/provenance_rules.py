@@ -14,6 +14,7 @@ from typing import Any, Iterator, Mapping
 
 from repro.analysis.diagnostics import Diagnostic
 from repro.analysis.registry import Rule, rule
+from repro.provenance.graph import kahn_order
 from repro.provenance.opm import EDGE_KINDS, OPMGraph
 
 __all__ = ["GraphState"]
@@ -119,26 +120,13 @@ def _loc(state: GraphState, *parts: str) -> str:
       "provenance graph contains a causal cycle")
 def _provenance_cycle(self: Rule, state: GraphState,
                       context: dict) -> Iterator[Diagnostic]:
-    # Kahn over effect -> cause edges; leftovers are cyclic.
-    successors: dict[str, set[str]] = {n: set() for n in state.nodes}
-    indegree = {n: 0 for n in state.nodes}
-    for edge in state.edges:
-        if edge.effect not in state.nodes or edge.cause not in state.nodes:
-            continue  # PR003's business
-        if edge.cause not in successors[edge.effect]:
-            successors[edge.effect].add(edge.cause)
-            indegree[edge.cause] += 1
-    ready = [n for n, degree in indegree.items() if degree == 0]
-    visited = 0
-    while ready:
-        current = ready.pop()
-        visited += 1
-        for cause in successors[current]:
-            indegree[cause] -= 1
-            if indegree[cause] == 0:
-                ready.append(cause)
-    if visited != len(state.nodes):
-        cyclic = sorted(n for n, degree in indegree.items() if degree > 0)
+    # Kahn over effect -> cause edges; leftovers are cyclic.  Dangling
+    # edges are PR003's business.
+    order = kahn_order(state.nodes, (
+        (edge.effect, edge.cause) for edge in state.edges
+        if edge.effect in state.nodes and edge.cause in state.nodes))
+    if len(order) != len(state.nodes):
+        cyclic = sorted(set(state.nodes) - set(order))
         yield self.emit(
             _loc(state),
             "causal cycle involving "

@@ -346,6 +346,23 @@ def _small_world(seed: int, records: int, species: int, outdated: int):
     return catalogue, collection, truth
 
 
+def _species_check_world(seed: int, records: int, species: int,
+                         outdated: int, availability: float, **engine):
+    """The species check over a :func:`_small_world`: the simulated
+    Catalogue of Life service (``availability``) in front of the
+    catalogue, and a checker whose engine gets ``engine``
+    (``max_workers``, ``result_cache``).  Its ``provenance`` manager
+    holds the runs."""
+    from repro.curation.species_check import SpeciesNameChecker
+    from repro.taxonomy.service import CatalogueService
+
+    catalogue, collection, __ = _small_world(seed, records, species,
+                                             outdated)
+    service = CatalogueService(catalogue, availability=availability,
+                               seed=seed)
+    return SpeciesNameChecker(collection, service, **engine)
+
+
 def _command_casestudy(args: argparse.Namespace) -> int:
     from repro.casestudy.fnjv import FNJVCaseStudy, PAPER_FIGURES
     from repro.casestudy.reporting import render_comparison
@@ -362,21 +379,13 @@ def _command_casestudy(args: argparse.Namespace) -> int:
 
 def _command_detect(args: argparse.Namespace) -> int:
     from repro.core.manager import DataQualityManager
-    from repro.curation.species_check import SpeciesNameChecker
-    from repro.provenance.manager import ProvenanceManager
-    from repro.taxonomy.service import CatalogueService
 
-    catalogue, collection, __ = _small_world(
-        args.seed, args.records, args.species, args.outdated)
-    service = CatalogueService(catalogue, availability=args.availability,
-                               seed=args.seed)
-    provenance = ProvenanceManager()
-    checker = SpeciesNameChecker(collection, service,
-                                 provenance=provenance)
+    checker = _species_check_world(args.seed, args.records, args.species,
+                                   args.outdated, args.availability)
     result = checker.run()
     print(result.render())
     print()
-    manager = DataQualityManager(provenance=provenance.repository)
+    manager = DataQualityManager(provenance=checker.provenance.repository)
     print(manager.assess_species_check_run(result.run_id).render())
     return 0
 
@@ -540,31 +549,17 @@ def _command_explain(args: argparse.Namespace) -> int:
     return 0
 
 
-def _provenance_world(args: argparse.Namespace):
-    """An archived synthetic world for the ``provenance`` command:
-    ``--runs`` executions of the species check sharing one result
-    cache, so replays land as ``wasCachedFrom`` chains in the store."""
-    from repro.curation.species_check import SpeciesNameChecker
-    from repro.provenance.manager import ProvenanceManager
-    from repro.taxonomy.service import CatalogueService
+def _command_provenance(args: argparse.Namespace) -> int:
     from repro.workflow.cache import ResultCache
 
-    catalogue, collection, __ = _small_world(
-        args.seed, args.records, args.species,
-        max(5, args.records // 40))
-    service = CatalogueService(catalogue, availability=0.95,
-                               seed=args.seed)
-    provenance = ProvenanceManager()
-    checker = SpeciesNameChecker(collection, service,
-                                 provenance=provenance,
-                                 result_cache=ResultCache())
+    # --runs executions of the species check sharing one result cache,
+    # so replays land as wasCachedFrom chains in the store
+    checker = _species_check_world(
+        args.seed, args.records, args.species, max(5, args.records // 40),
+        availability=0.95, result_cache=ResultCache())
     for __ in range(max(1, args.runs)):
         checker.run()
-    return provenance.repository
-
-
-def _command_provenance(args: argparse.Namespace) -> int:
-    repository = _provenance_world(args)
+    repository = checker.provenance.repository
     store = repository.store
     run_ids = repository.run_ids()
     latest = run_ids[-1]
@@ -645,27 +640,16 @@ def _command_provenance(args: argparse.Namespace) -> int:
 
 def _command_stats(args: argparse.Namespace) -> int:
     from repro.core.manager import DataQualityManager
-    from repro.curation.species_check import SpeciesNameChecker
-    from repro.provenance.manager import ProvenanceManager
-    from repro.taxonomy.service import CatalogueService
     from repro.telemetry import get_telemetry
+    from repro.workflow.cache import ResultCache
 
     telemetry = get_telemetry()
     telemetry.reset()
-    catalogue, collection, __ = _small_world(
-        args.seed, args.records, args.species, args.outdated)
-    service = CatalogueService(catalogue, availability=args.availability,
-                               seed=args.seed)
-    provenance = ProvenanceManager()
-    cache = None
-    if args.warm_cache:
-        from repro.workflow.cache import ResultCache
-
-        cache = ResultCache()
-    checker = SpeciesNameChecker(collection, service,
-                                 provenance=provenance,
-                                 max_workers=args.workers,
-                                 result_cache=cache)
+    checker = _species_check_world(
+        args.seed, args.records, args.species, args.outdated,
+        args.availability, max_workers=args.workers,
+        result_cache=ResultCache() if args.warm_cache else None)
+    collection, provenance = checker.collection, checker.provenance
     result = checker.run()
     if args.warm_cache:
         # second pass over identical inputs: repeat invocations come
@@ -686,8 +670,8 @@ def _command_stats(args: argparse.Namespace) -> int:
         _stats_service_burst(collection.database, vault, telemetry,
                              tenants=max(1, args.tenants))
     if args.stream:
-        _stats_stream_burst(catalogue, collection, telemetry,
-                            seed=args.seed)
+        _stats_stream_burst(checker.service.catalogue, collection,
+                            telemetry, seed=args.seed)
     if args.json:
         print(json.dumps(telemetry.snapshot(), indent=2, sort_keys=True,
                          default=str))
@@ -955,18 +939,10 @@ def _lint_demo(analyzer, seed: int):
     """Lint a live synthetic world: workflow, provenance, db, vault."""
     from repro.archive import PreservationVault
     from repro.core.preservation import PreservationLevel
-    from repro.curation.species_check import (
-        SpeciesNameChecker,
-        build_species_check_workflow,
-    )
-    from repro.provenance.manager import ProvenanceManager
-    from repro.taxonomy.service import CatalogueService
+    from repro.curation.species_check import build_species_check_workflow
 
-    catalogue, collection, __ = _small_world(seed, 200, 50, 5)
-    service = CatalogueService(catalogue, availability=0.95, seed=seed)
-    provenance = ProvenanceManager()
-    checker = SpeciesNameChecker(collection, service,
-                                 provenance=provenance)
+    checker = _species_check_world(seed, 200, 50, 5, availability=0.95)
+    collection, provenance = checker.collection, checker.provenance
     checker.run()
     vault = PreservationVault(provenance=provenance.repository)
     vault.ingest(collection, PreservationLevel.ANALYSIS_LEVEL)

@@ -22,7 +22,6 @@ from repro.provenance.graph import (
     derivation_sources,
     descendants,
     lineage_subgraph,
-    to_networkx,
 )
 from repro.provenance.manager import ProvenanceManager
 from repro.provenance.opm import (
@@ -57,5 +56,4 @@ __all__ = [
     "graph_from_json",
     "graph_to_json",
     "lineage_subgraph",
-    "to_networkx",
 ]

@@ -19,11 +19,10 @@ statuses:
 
 from __future__ import annotations
 
-import threading
-from collections import OrderedDict
 from typing import Iterator
 
 from repro.errors import InvalidNameError
+from repro.memo import Memo
 from repro.taxonomy.backbone import TaxonomicBackbone, build_backbone
 from repro.taxonomy.nomenclature import closest_names, normalize_name
 from repro.taxonomy.synonyms import NameChange, SynonymRegistry, generate_changes
@@ -89,8 +88,7 @@ class CatalogueOfLife:
         # memoized resolve() answers; the key includes the knowledge
         # horizon and the registry size, so time travel and newly
         # published changes never serve stale answers
-        self._memo: "OrderedDict[tuple, NameResolution]" = OrderedDict()
-        self._memo_lock = threading.Lock()
+        self._memo: Memo[tuple, NameResolution] = Memo(self.MEMO_MAX)
 
     def __repr__(self) -> str:
         return (
@@ -138,10 +136,7 @@ class CatalogueOfLife:
             return NameResolution(name, "not_found")
         memo_key = (queried, fuzzy, max_distance, self.as_of_year,
                     len(self.registry))
-        with self._memo_lock:
-            cached = self._memo.get(memo_key)
-            if cached is not None:
-                self._memo.move_to_end(memo_key)
+        cached = self._memo.get(memo_key)
         if cached is not None:
             from repro.telemetry import get_telemetry
 
@@ -150,10 +145,7 @@ class CatalogueOfLife:
             ).inc()
             return cached
         resolution = self._resolve_uncached(queried, fuzzy, max_distance)
-        with self._memo_lock:
-            self._memo[memo_key] = resolution
-            while len(self._memo) > self.MEMO_MAX:
-                self._memo.popitem(last=False)
+        self._memo.put(memo_key, resolution)
         return resolution
 
     def _resolve_uncached(self, queried: str, fuzzy: bool,

@@ -9,7 +9,6 @@ metadata-cleaning steps both build on it.
 from __future__ import annotations
 
 import re
-from functools import lru_cache
 from typing import Iterable
 
 from repro.errors import InvalidNameError
@@ -129,10 +128,7 @@ def levenshtein(left: str, right: str, limit: int | None = None) -> int:
 
     With ``limit`` set, returns ``limit + 1`` as soon as the distance
     provably exceeds it (band optimization) — the fuzzy resolver calls
-    this over thousands of candidate names.  Non-trivial pairs are
-    memoized (edit distance is symmetric, so the operands are put in a
-    canonical order first): the species-check inner loop compares the
-    same misspelled names against the same candidate set run after run.
+    this over thousands of candidate names.
     """
     if left == right:
         return 0
@@ -142,14 +138,6 @@ def levenshtein(left: str, right: str, limit: int | None = None) -> int:
         return len(left)
     if limit is not None and abs(len(left) - len(right)) > limit:
         return limit + 1
-    if (len(left), left) > (len(right), right):
-        left, right = right, left
-    return _levenshtein_banded(left, right, limit)
-
-
-@lru_cache(maxsize=65536)
-def _levenshtein_banded(left: str, right: str, limit: int | None) -> int:
-    """The banded DP core; ``left`` is never longer than ``right``."""
     previous = list(range(len(left) + 1))
     for row, right_char in enumerate(right, start=1):
         current = [row]
@@ -178,18 +166,10 @@ def closest_names(target: str, candidates: Iterable[str],
                   max_distance: int = 2) -> list[tuple[str, int]]:
     """Candidates within ``max_distance`` edits of ``target``, sorted by
     (distance, name)."""
-    hits_before = _levenshtein_banded.cache_info().hits
     hits: list[tuple[str, int]] = []
     for candidate in candidates:
         distance = levenshtein(target, candidate, limit=max_distance)
         if distance <= max_distance:
             hits.append((candidate, distance))
     hits.sort(key=lambda pair: (pair[1], pair[0]))
-    memo_hits = _levenshtein_banded.cache_info().hits - hits_before
-    if memo_hits > 0:
-        from repro.telemetry import get_telemetry
-
-        get_telemetry().metrics.counter(
-            "taxonomy_cache_hits_total", cache="levenshtein",
-        ).inc(memo_hits)
     return hits

@@ -5,8 +5,9 @@ profile): once a run's inputs are digested, a byte-identical invocation
 can be *reused* instead of re-executed, and the trace can say so
 honestly.  :func:`invocation_key` derives a deterministic digest from
 (processor name, kind, implementation version, config, bound input
-values) via :mod:`repro.hashing`; :class:`ResultCache` is a bounded,
-thread-safe LRU from those digests to recorded outputs.
+values) via :mod:`repro.hashing`; :class:`ResultCache` maps those
+digests to recorded outputs through a :class:`~repro.memo.Memo`, the
+bounded, thread-safe, tagged LRU every memo in the system shares.
 
 Safety rules, enforced here and by the engine:
 
@@ -21,24 +22,16 @@ Safety rules, enforced here and by the engine:
 A hit is spliced into the trace with a ``wasCachedFrom`` marker naming
 the run/processor that actually computed the value, so the exported OPM
 provenance never claims a re-execution that did not happen.
-
-Entries may carry **tags** — opaque strings such as ``record:1042`` or
-``resource:catalogue`` naming the upstream dependencies an invocation
-read.  :meth:`ResultCache.invalidate_tags` drops every entry carrying
-any of the given tags in one sweep, which is how the streaming layer
-(:mod:`repro.streaming`) turns "record X changed" or "the catalogue
-advanced" into a dirty set without re-digesting the whole collection.
 """
 
 from __future__ import annotations
 
 import copy
 import datetime as _dt
-import threading
-from collections import OrderedDict
 from typing import Any, Iterable, Mapping
 
 from repro.hashing import canonical_digest
+from repro.memo import Memo
 
 __all__ = ["CachedResult", "ResultCache", "invocation_key", "record_key",
            "resource_key"]
@@ -113,51 +106,25 @@ class CachedResult:
         return f"CachedResult(from {self.source})"
 
 
-class ResultCache:
-    """A bounded, thread-safe LRU of :class:`CachedResult` entries.
+class ResultCache(Memo[str, CachedResult]):
+    """A :class:`~repro.memo.Memo` of :class:`CachedResult` entries
+    behind a deep-copy boundary.
 
     Share one instance across engines (or runs of one engine) to make
     warm re-runs skip identical work; ``hits``/``misses`` feed the
     ``engine_cache_*`` telemetry counters and ``repro stats`` panel.
     """
 
-    def __init__(self, max_entries: int = 1024) -> None:
-        if max_entries < 1:
-            raise ValueError("ResultCache needs max_entries >= 1")
-        self.max_entries = max_entries
-        self._entries: OrderedDict[str, CachedResult] = OrderedDict()
-        self._lock = threading.Lock()
-        self.hits = 0
-        self.misses = 0
-        self.invalidations = 0
-        #: tag -> keys carrying it / key -> its tags, kept in lockstep
-        #: with ``_entries`` (eviction and clear() detach both sides)
-        self._tag_keys: dict[str, set[str]] = {}
-        self._key_tags: dict[str, tuple[str, ...]] = {}
-
-    def __len__(self) -> int:
-        return len(self._entries)
-
-    def __repr__(self) -> str:
-        return (
-            f"ResultCache({len(self._entries)}/{self.max_entries} entries, "
-            f"{self.hits} hits, {self.misses} misses)"
-        )
-
     def get(self, key: str) -> CachedResult | None:
         """Fetch a hit (deep copy) or ``None``; updates hit/miss stats."""
-        with self._lock:
-            entry = self._entries.get(key)
-            if entry is None:
-                self.misses += 1
-                return None
-            self._entries.move_to_end(key)
-            self.hits += 1
-            return CachedResult(copy.deepcopy(entry.outputs), entry.source)
+        entry = super().get(key)
+        if entry is None:
+            return None
+        return CachedResult(copy.deepcopy(entry.outputs), entry.source)
 
-    def put(self, key: str, outputs: Mapping[str, Any],
-            source: str, tags: Iterable[str] = ()) -> None:
-        """Store one successful invocation.
+    def put(self, key: str, value: CachedResult,
+            tags: Iterable[str] = ()) -> None:
+        """Store one successful invocation (a deep copy of ``value``).
 
         Values that cannot be deep-copied (they would not replay safely)
         are skipped and counted under ``cache_store_skipped_total``; only
@@ -165,90 +132,13 @@ class ResultCache:
         ``copy.Error``, ``RecursionError`` — are treated as "not
         copyable".  Anything else (say a ``KeyboardInterrupt`` or a bug
         in a value's ``__deepcopy__``) propagates.
-
-        ``tags`` name the entry's upstream dependencies;
-        :meth:`invalidate_tags` later drops every entry sharing one.
         """
         try:
-            stored = copy.deepcopy(dict(outputs))
+            stored = copy.deepcopy(dict(value.outputs))
         except (TypeError, copy.Error, RecursionError):
             from repro.telemetry import get_telemetry
 
             get_telemetry().metrics.counter(
-                "cache_store_skipped_total", source=source).inc()
+                "cache_store_skipped_total", source=value.source).inc()
             return
-        tagged = tuple(sorted({str(tag) for tag in tags}))
-        with self._lock:
-            self._detach_locked(key)
-            self._entries[key] = CachedResult(stored, source)
-            self._entries.move_to_end(key)
-            if tagged:
-                self._key_tags[key] = tagged
-                for tag in tagged:
-                    self._tag_keys.setdefault(tag, set()).add(key)
-            while len(self._entries) > self.max_entries:
-                evicted, _ = self._entries.popitem(last=False)
-                self._detach_locked(evicted)
-
-    def _detach_locked(self, key: str) -> None:
-        """Drop ``key``'s tag bookkeeping (caller holds ``_lock``)."""
-        for tag in self._key_tags.pop(key, ()):
-            keys = self._tag_keys.get(tag)
-            if keys is not None:
-                keys.discard(key)
-                if not keys:
-                    del self._tag_keys[tag]
-
-    def invalidate_tags(self, *tags: str) -> int:
-        """Drop every entry carrying any of ``tags``; returns the number
-        of entries removed.  Unknown tags are a no-op, so callers can
-        invalidate speculatively (``record:<id>`` for a record that was
-        never cached simply removes nothing)."""
-        with self._lock:
-            doomed: set[str] = set()
-            for tag in tags:
-                doomed.update(self._tag_keys.get(tag, ()))
-            for key in doomed:
-                self._entries.pop(key, None)
-                self._detach_locked(key)
-            removed = len(doomed)
-            self.invalidations += removed
-        if removed:
-            from repro.telemetry import get_telemetry
-
-            get_telemetry().metrics.counter(
-                "cache_tag_invalidations_total").inc(removed)
-        return removed
-
-    def tags_of(self, key: str) -> tuple[str, ...]:
-        """The tags stored with ``key`` (empty when untagged/absent)."""
-        with self._lock:
-            return self._key_tags.get(key, ())
-
-    def keys_for_tag(self, tag: str) -> tuple[str, ...]:
-        """The invocation keys currently carrying ``tag``, sorted."""
-        with self._lock:
-            return tuple(sorted(self._tag_keys.get(tag, ())))
-
-    @property
-    def hit_rate(self) -> float:
-        """Fraction of lookups served from the cache (0.0 when unused)."""
-        lookups = self.hits + self.misses
-        return self.hits / lookups if lookups else 0.0
-
-    def stats(self) -> dict[str, Any]:
-        return {
-            "entries": len(self._entries),
-            "max_entries": self.max_entries,
-            "hits": self.hits,
-            "misses": self.misses,
-            "hit_rate": round(self.hit_rate, 4),
-            "tags": len(self._tag_keys),
-            "invalidations": self.invalidations,
-        }
-
-    def clear(self) -> None:
-        with self._lock:
-            self._entries.clear()
-            self._tag_keys.clear()
-            self._key_tags.clear()
+        super().put(key, CachedResult(stored, value.source), tags)

@@ -55,7 +55,7 @@ from concurrent.futures import ThreadPoolExecutor
 from typing import Any, Callable, Mapping
 
 from repro.errors import WorkflowExecutionError, WorkflowValidationError
-from repro.workflow.cache import ResultCache, invocation_key
+from repro.workflow.cache import CachedResult, ResultCache, invocation_key
 from repro.workflow.model import Processor, ProcessorRegistry, Workflow
 from repro.workflow.trace import ProcessorRun, WorkflowTrace
 
@@ -404,10 +404,9 @@ class WorkflowEngine:
                 # config["cache_tags"] names the invocation's upstream
                 # dependencies (record:<id>, resource:<name>, ...) so
                 # the streaming layer can invalidate by dirty set
-                self.cache.put(key, invocation.outputs,
-                               source=f"{run_id}/{processor.name}",
-                               tags=processor.config.get("cache_tags")
-                               or ())
+                self.cache.put(key, CachedResult(
+                    invocation.outputs, f"{run_id}/{processor.name}"),
+                    tags=processor.config.get("cache_tags") or ())
         except Exception as exc:  # noqa: BLE001 - boundary by design
             invocation.status = "failed"
             invocation.error = f"{type(exc).__name__}: {exc}"

@@ -225,7 +225,7 @@ class TestRealTree:
             for qualname, klass in state.classes.items()
             if klass.locks
         }
-        assert {"Database", "ResultCache", "Tracer"} <= locked
+        assert {"Database", "Memo", "Tracer"} <= locked
 
     def test_counter_literals_collected(self, state):
         assert "workflow_runs_total" in state.metrics_used

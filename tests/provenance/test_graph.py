@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.errors import ProvenanceError
 from repro.provenance.graph import (
     ancestors,
     derivation_sources,
@@ -10,7 +11,6 @@ from repro.provenance.graph import (
     lineage_subgraph,
     shortest_causal_path,
     summarize,
-    to_networkx,
     topological_processes,
 )
 from repro.provenance.opm import OPMGraph
@@ -106,14 +106,23 @@ class TestStructure:
     def test_acyclic(self, pipeline_graph):
         assert is_acyclic(pipeline_graph)
 
-    def test_networkx_conversion(self, pipeline_graph):
-        nxg = to_networkx(pipeline_graph)
-        assert nxg.number_of_nodes() == 6
-        assert nxg.nodes["p1"]["kind"] == "process"
-
     def test_topological_processes(self, pipeline_graph):
         order = topological_processes(pipeline_graph)
         assert order.index("p1") < order.index("p2")
+
+    def test_cycle_detected(self, pipeline_graph):
+        pipeline_graph.was_triggered_by("p1", "p2")
+        assert not is_acyclic(pipeline_graph)
+        with pytest.raises(ProvenanceError, match="cycle"):
+            topological_processes(pipeline_graph)
+
+    def test_independent_processes_in_name_order(self):
+        g = OPMGraph()
+        for process in ("zeta", "alpha", "mid"):
+            g.add_process(process)
+        g.was_triggered_by("alpha", "zeta")
+        # zeta must precede alpha; mid is free and sorts by name
+        assert topological_processes(g) == ["mid", "zeta", "alpha"]
 
     def test_summarize(self, pipeline_graph):
         summary = summarize(pipeline_graph)

@@ -1,7 +1,7 @@
-"""The taxonomy memos: catalogue resolution LRU + levenshtein cache.
+"""The taxonomy memo: catalogue resolution LRU.
 
 The species-check inner loop re-resolves the same handful of names for
-thousands of records; these memos make the second occurrence free while
+thousands of records; the memo makes the second occurrence free while
 staying *correct* across time travel (``as_of_year``) and registry
 growth — both are part of the memo key.
 """
@@ -9,11 +9,7 @@ growth — both are part of the memo key.
 from __future__ import annotations
 
 from repro.taxonomy.catalogue import CatalogueOfLife
-from repro.taxonomy.nomenclature import (
-    _levenshtein_banded,
-    closest_names,
-    levenshtein,
-)
+from repro.taxonomy.nomenclature import levenshtein
 from repro.taxonomy.synonyms import NameChange, SynonymRegistry
 
 
@@ -80,8 +76,10 @@ class TestCatalogueMemo:
             cache="catalogue_resolve") is None
 
     def test_memo_bounded(self, small_backbone):
-        catalogue = _fresh_catalogue(small_backbone)
-        catalogue.MEMO_MAX = 4
+        class SmallMemoCatalogue(CatalogueOfLife):
+            MEMO_MAX = 4
+
+        catalogue = SmallMemoCatalogue(small_backbone, SynonymRegistry())
         for name in catalogue.species_names()[:10]:
             catalogue.resolve(name)
         assert len(catalogue._memo) <= 4
@@ -93,23 +91,3 @@ class TestLevenshteinMemo:
         assert levenshtein("abc", "abc") == 0
         assert levenshtein("", "abcd") == 4
         assert levenshtein("abcdefgh", "a", limit=2) == 3  # capped
-
-    def test_symmetric_arguments_share_one_entry(self):
-        _levenshtein_banded.cache_clear()
-        levenshtein("helios", "heliox")
-        before = _levenshtein_banded.cache_info()
-        levenshtein("heliox", "helios")
-        after = _levenshtein_banded.cache_info()
-        assert after.hits == before.hits + 1
-        assert after.misses == before.misses
-
-    def test_closest_names_counts_memo_hits(self, isolated_telemetry):
-        _levenshtein_banded.cache_clear()
-        candidates = ["Hyla faber", "Hyla albomarginata", "Rana pipiens"]
-        closest_names("Hyla fabe", candidates, max_distance=2)
-        closest_names("Hyla fabe", candidates, max_distance=2)
-        # only "Hyla faber" is within the length band, so the second
-        # sweep replays exactly that one comparison from the memo
-        hits = isolated_telemetry.metrics.value(
-            "taxonomy_cache_hits_total", cache="levenshtein")
-        assert hits is not None and hits >= 1

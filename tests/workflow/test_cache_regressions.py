@@ -10,7 +10,7 @@ import copy
 import pytest
 
 from repro.telemetry import get_telemetry
-from repro.workflow.cache import ResultCache
+from repro.workflow.cache import CachedResult, ResultCache
 
 
 class NotCopyable:
@@ -53,7 +53,7 @@ def fresh_telemetry():
 def test_uncopyable_value_skipped_and_counted(value):
     cache = ResultCache()
     before = _skip_count()
-    cache.put("k", {"out": value}, source="proc")
+    cache.put("k", CachedResult({"out": value}, "proc"))
     assert cache.get("k") is None
     assert len(cache) == 0
     assert _skip_count() == before + 1
@@ -63,13 +63,13 @@ def test_unexpected_deepcopy_exception_propagates():
     # pre-fix this was silently swallowed
     cache = ResultCache()
     with pytest.raises(ValueError, match="a bug in __deepcopy__"):
-        cache.put("k", {"out": BuggyDeepcopy()}, source="proc")
+        cache.put("k", CachedResult({"out": BuggyDeepcopy()}, "proc"))
     assert _skip_count() == 0
 
 
 def test_copyable_values_still_cached():
     cache = ResultCache()
-    cache.put("k", {"out": [1, 2, 3]}, source="proc")
+    cache.put("k", CachedResult({"out": [1, 2, 3]}, "proc"))
     hit = cache.get("k")
     assert hit is not None
     assert hit.outputs == {"out": [1, 2, 3]}

@@ -1,10 +1,15 @@
 """Tag-based invalidation on the result cache."""
 
-from repro.workflow.cache import ResultCache, record_key, resource_key
+from repro.workflow.cache import (
+    CachedResult,
+    ResultCache,
+    record_key,
+    resource_key,
+)
 
 
 def put(cache, key, tags=()):
-    cache.put(key, {"x": key}, source=f"run/{key}", tags=tags)
+    cache.put(key, CachedResult({"x": key}, f"run/{key}"), tags=tags)
 
 
 class TestKeys:

@@ -12,7 +12,7 @@ import pytest
 from repro.errors import WorkflowExecutionError, WorkflowValidationError
 from repro.telemetry import Telemetry
 from repro.workflow.builtins import register_function
-from repro.workflow.cache import ResultCache, invocation_key
+from repro.workflow.cache import CachedResult, ResultCache, invocation_key
 from repro.workflow.engine import SimulatedClock, WorkflowEngine
 from repro.workflow.model import Processor, Workflow
 
@@ -306,16 +306,16 @@ class TestResultCache:
 
     def test_lru_bound_evicts_oldest(self):
         cache = ResultCache(max_entries=2)
-        cache.put("k1", {"a": 1}, "run/p")
-        cache.put("k2", {"a": 2}, "run/p")
-        cache.put("k3", {"a": 3}, "run/p")
+        cache.put("k1", CachedResult({"a": 1}, "run/p"))
+        cache.put("k2", CachedResult({"a": 2}, "run/p"))
+        cache.put("k3", CachedResult({"a": 3}, "run/p"))
         assert cache.get("k1") is None
         assert cache.get("k3").outputs == {"a": 3}
         assert len(cache) == 2
 
     def test_replayed_outputs_are_isolated_copies(self):
         cache = ResultCache()
-        cache.put("k", {"rows": [1, 2]}, "run/p")
+        cache.put("k", CachedResult({"rows": [1, 2]}, "run/p"))
         cache.get("k").outputs["rows"].append(99)
         assert cache.get("k").outputs == {"rows": [1, 2]}
 
