@@ -31,7 +31,7 @@ from typing import Any, Iterator
 
 from repro.errors import FixityError, ObjectMissingError
 from repro.hashing import sha256_hex
-from repro.storage import Column, Database, TableSchema, col
+from repro.storage import Column, Database, TableSchema
 from repro.storage import column_types as ct
 
 __all__ = ["ContentAddressedStore", "ObjectStat"]
@@ -106,19 +106,15 @@ class ContentAddressedStore:
         """Store ``payload``; returns its digest.  Re-putting an
         existing payload deduplicates (one blob, ``refs`` + 1)."""
         digest = sha256_hex(payload)
-        existing = self._row(digest)
-        if existing is not None:
-            rowid = self.database.rowid_for(_OBJECTS, digest)
-            self.database.update(_OBJECTS, rowid,
-                                 {"refs": existing["refs"] + 1})
-            return digest
-        self.database.insert(_OBJECTS, {
+        row = self._row(digest) or {
             "digest": digest,
             "size_bytes": len(payload.encode("utf-8")),
             "media_type": media_type,
-            "refs": 1,
+            "refs": 0,
             "payload": payload,
-        })
+        }
+        row["refs"] += 1
+        self.database.upsert(_OBJECTS, row)
         return digest
 
     # ------------------------------------------------------------------
@@ -126,9 +122,7 @@ class ContentAddressedStore:
     # ------------------------------------------------------------------
 
     def _row(self, digest: str) -> dict[str, Any] | None:
-        return self.database.query(_OBJECTS).where(
-            col("digest") == digest
-        ).first()
+        return self.database.find(_OBJECTS, digest)
 
     def exists(self, digest: str) -> bool:
         return self._row(digest) is not None
@@ -221,19 +215,7 @@ class ContentAddressedStore:
                 f"{self.name}: refusing to restore {digest[:12]}… from a "
                 f"payload hashing to {actual[:12]}…"
             )
-        row = self._row(digest)
-        if row is None:
-            self.database.insert(_OBJECTS, {
-                "digest": digest,
-                "size_bytes": len(payload.encode("utf-8")),
-                "media_type": media_type,
-                "refs": 1,
-                "payload": payload,
-            })
-        else:
-            rowid = self.database.rowid_for(_OBJECTS, digest)
-            self.database.update(_OBJECTS, rowid, {
-                "payload": payload,
-                "size_bytes": len(payload.encode("utf-8")),
-                "media_type": media_type,
-            })
+        row = self._row(digest) or {"digest": digest, "refs": 1}
+        row.update(payload=payload, media_type=media_type,
+                   size_bytes=len(payload.encode("utf-8")))
+        self.database.upsert(_OBJECTS, row)

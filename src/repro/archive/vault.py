@@ -191,16 +191,6 @@ class PreservationVault:
     # manifest helpers
     # ------------------------------------------------------------------
 
-    def _upsert_manifest(self, row: dict[str, Any]) -> None:
-        existing = self.catalog.query(_MANIFEST).where(
-            col("object_id") == row["object_id"]
-        ).first()
-        if existing is None:
-            self.catalog.insert(_MANIFEST, row)
-        else:
-            rowid = self.catalog.rowid_for(_MANIFEST, row["object_id"])
-            self.catalog.update(_MANIFEST, rowid, row)
-
     def manifest(self, kind: str | None = None,
                  include_superseded: bool = False) -> list[dict[str, Any]]:
         query = self.catalog.query(_MANIFEST)
@@ -260,7 +250,7 @@ class PreservationVault:
                     metrics.counter("vault_bytes_ingested_total").inc(size)
                     metrics.histogram("vault_object_bytes",
                                       buckets=_SIZE_BUCKETS).observe(size)
-                self._upsert_manifest({
+                self.catalog.upsert(_MANIFEST, {
                     "object_id": object_id,
                     "digest": digest,
                     "kind": kind,
@@ -363,12 +353,11 @@ class PreservationVault:
             )
             report = self.planner.execute(plan)
             for migration in report.migrations:
-                source_row = self.catalog.query(_MANIFEST).where(
-                    col("object_id") == migration["object_id"]
-                ).first()
+                source_row = self.catalog.find(_MANIFEST,
+                                               migration["object_id"])
                 collection = source_row["collection"] if source_row \
                     else self.name
-                self._upsert_manifest({
+                self.catalog.upsert(_MANIFEST, {
                     "object_id": (f"{migration['object_id']}"
                                   f"/migrated-"
                                   f"{migration['to_format'].lower()}"),

@@ -98,8 +98,7 @@ class ObservationStore:
     def add(self, observation: Observation) -> str:
         """Store one observation with its measurements."""
         for context_id in observation.context:
-            if not self.database.query(_OBS).where(
-                    col("obs_id") == context_id).exists():
+            if self.database.find(_OBS, context_id) is None:
                 raise ReproError(
                     f"context observation {context_id!r} is not stored"
                 )
@@ -132,8 +131,7 @@ class ObservationStore:
             for context_id in observation.context:
                 if context_id in satisfied:
                     continue
-                if self.database.query(_OBS).where(
-                        col("obs_id") == context_id).exists():
+                if self.database.find(_OBS, context_id) is not None:
                     satisfied.add(context_id)
                     continue
                 raise ReproError(
@@ -156,8 +154,7 @@ class ObservationStore:
     # ------------------------------------------------------------------
 
     def get(self, obs_id: str) -> Observation:
-        row = self.database.query(_OBS).where(
-            col("obs_id") == obs_id).first()
+        row = self.database.find(_OBS, obs_id)
         if row is None:
             raise ReproError(f"no observation {obs_id!r}")
         measurements = []

@@ -100,14 +100,7 @@ class ProvenanceRepository:
             "workflow": None if workflow is None
             else workflow_to_json(workflow, indent=None),
         }
-        existing = self.database.query(_RUNS).where(
-            col("run_id") == trace.run_id
-        ).first()
-        if existing is None:
-            self.database.insert(_RUNS, row)
-        else:
-            rowid = self.database.rowid_for(_RUNS, trace.run_id)
-            self.database.update(_RUNS, rowid, row)
+        self.database.upsert(_RUNS, row)
         # append-only archive: a re-capture keeps the first archived
         # skeleton (ingest_graph counts the skip)
         self.store.ingest_graph(trace.run_id, graph)
@@ -124,9 +117,7 @@ class ProvenanceRepository:
 
     def has_run(self, run_id: str) -> bool:
         """Primary-key membership probe (no run-list materialization)."""
-        return self.database.query(_RUNS).where(
-            col("run_id") == run_id
-        ).first() is not None
+        return self.database.find(_RUNS, run_id) is not None
 
     def run_count(self) -> int:
         """How many runs are archived — read from the store manifest,
@@ -146,9 +137,7 @@ class ProvenanceRepository:
         return ids[-1] if ids else None
 
     def _row(self, run_id: str) -> dict[str, Any]:
-        row = self.database.query(_RUNS).where(
-            col("run_id") == run_id
-        ).first()
+        row = self.database.find(_RUNS, run_id)
         if row is None:
             raise ProvenanceError(f"no provenance for run {run_id!r}")
         return row

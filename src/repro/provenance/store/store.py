@@ -45,7 +45,7 @@ from repro.provenance.store.queries import (
     frontier_walk,
     resolve_edge_codes,
 )
-from repro.storage import Column, Database, TableSchema, col
+from repro.storage import Column, Database, TableSchema
 from repro.storage import column_types as ct
 
 __all__ = ["ProvenanceStore", "DEFAULT_RUNS_PER_SEGMENT"]
@@ -147,15 +147,10 @@ class ProvenanceStore:
         return f"seg-{len(self.segments) + 1:05d}"
 
     def _manifest_set(self, key: str, value: int) -> None:
-        existing = self.database.query(_MANIFEST).where(
-            col("key") == key).first()
-        if existing is None:
-            self.database.insert(_MANIFEST, {"key": key,
+        existing = self.database.find(_MANIFEST, key)
+        if existing is None or existing["value"] != int(value):
+            self.database.upsert(_MANIFEST, {"key": key,
                                              "value": int(value)})
-        elif existing["value"] != int(value):
-            rowid = self.database.rowid_for(_MANIFEST, key)
-            self.database.update(_MANIFEST, rowid,
-                                 {"key": key, "value": int(value)})
 
     def _write_manifest(self) -> None:
         counts = {

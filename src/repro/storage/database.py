@@ -25,9 +25,10 @@ Concurrency model (multi-tenant storage)
   alive while writers churn, so readers never block writers and never
   see uncommitted or later-committed data.
 * **Commit serialization through the journal.**  Each transaction
-  buffers its journal entries; the commit appends them atomically under
-  the write lock, so the write-ahead journal records one serial history
-  equivalent to the interleaved execution.
+  buffers its journal entries; the commit appends them as one journal
+  line under the write lock, so the write-ahead journal records one
+  serial history equivalent to the interleaved execution, and recovery
+  replays each commit whole or not at all.
 """
 
 from __future__ import annotations
@@ -39,6 +40,7 @@ from typing import Any, Iterable, Mapping
 from repro.errors import (
     DuplicateTableError,
     RowNotFoundError,
+    SchemaError,
     TransactionConflictError,
     TransactionError,
     UnknownTableError,
@@ -317,36 +319,6 @@ class Database:
                     self.delete(table_name, rowid)
             return len(matching)
 
-    def get(self, table_name: str, key: Any) -> dict[str, Any]:
-        """Fetch one row by primary-key value."""
-        table = self.table(table_name)
-        pk = table.schema.primary_key
-        if pk is None:
-            return table.row_by_id(int(key))
-        index = table.index_on(pk)
-        assert index is not None  # primary keys always have a hash index
-        hits = index.lookup(key)
-        if not hits:
-            raise RowNotFoundError(
-                f"{table_name}: no row with {pk}={key!r}"
-            )
-        return table.row_by_id(next(iter(hits)))
-
-    def rowid_for(self, table_name: str, key: Any) -> int:
-        """Row id of the row whose primary key equals ``key``."""
-        table = self.table(table_name)
-        pk = table.schema.primary_key
-        if pk is None:
-            return int(key)
-        index = table.index_on(pk)
-        assert index is not None
-        hits = index.lookup(key)
-        if not hits:
-            raise RowNotFoundError(
-                f"{table_name}: no row with {pk}={key!r}"
-            )
-        return next(iter(hits))
-
     def _check_foreign_keys(self, table: Table, row: Mapping[str, Any]) -> None:
         from repro.errors import ConstraintViolation
 
@@ -369,6 +341,63 @@ class Database:
                     f"{table.name}.{fk.column}={value!r} has no parent in "
                     f"{fk.parent_table}.{fk.parent_column}",
                 )
+
+    # ------------------------------------------------------------------
+    # keyed access: one primary-key probe, no query planner
+    # ------------------------------------------------------------------
+
+    @staticmethod
+    def _probe(table: Table, key: Any) -> int | None:
+        """Row id holding primary key ``key`` (row id ``key`` on a table
+        without one), or ``None`` when no row holds it."""
+        pk = table.schema.primary_key
+        if pk is None:
+            return int(key)
+        index = table.index_on(pk)
+        assert index is not None  # primary keys always have a hash index
+        return next(iter(index.lookup(key)), None)
+
+    def find(self, table_name: str, key: Any) -> dict[str, Any] | None:
+        """Fetch one row by primary-key value, or ``None`` on a miss."""
+        table = self.table(table_name)
+        rowid = self._probe(table, key)
+        # scan() skips a row id that holds no row: a miss on a table
+        # without a primary key, or a row deleted since the probe
+        return None if rowid is None else next(table.scan((rowid,)), None)
+
+    def get(self, table_name: str, key: Any) -> dict[str, Any]:
+        """Fetch one row by primary-key value."""
+        row = self.find(table_name, key)
+        if row is None:
+            raise RowNotFoundError(f"{table_name}: no row with key {key!r}")
+        return row
+
+    def rowid_for(self, table_name: str, key: Any) -> int:
+        """Row id of the row whose primary key equals ``key``."""
+        rowid = self._probe(self.table(table_name), key)
+        if rowid is None:
+            raise RowNotFoundError(f"{table_name}: no row with key {key!r}")
+        return rowid
+
+    def upsert(self, table_name: str, row: Mapping[str, Any]) -> int:
+        """Insert ``row``, or update the row holding its primary key with
+        it; returns the row id.
+
+        Atomic under the database lock: no other write lands between the
+        probe and the write.  The write is an :meth:`insert` or an
+        :meth:`update`, so constraints, claims, journal entries and
+        version history are exactly theirs.
+        """
+        with self._lock:
+            table = self.table(table_name)
+            pk = table.schema.primary_key
+            if pk is None:
+                raise SchemaError(f"upsert: {table_name} has no primary key")
+            rowid = self._probe(table, row[pk])
+            if rowid is None:
+                return self.insert(table_name, row)
+            self.update(table_name, rowid, row)
+            return rowid
 
     # ------------------------------------------------------------------
     # queries
@@ -559,8 +588,11 @@ class Database:
             # on disk before any committed image becomes observable.  A
             # failed append leaves the transaction open with its claims
             # held and no versions published, so rollback() stays clean.
+            # One line per commit: recovery's torn-tail rule then drops a
+            # commit cut short as a whole, never a prefix of it.
             if self._journal is not None and transaction.journal_buffer:
-                self._journal.append_many(transaction.journal_buffer)
+                self._journal.append({"op": "tx",
+                                      "entries": transaction.journal_buffer})
             transaction.journal_buffer = []
             seq = self._advance_seq()
             for (table_name, rowid), (before, after) \

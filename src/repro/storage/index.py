@@ -103,9 +103,6 @@ class HashIndex(Index):
     def __len__(self) -> int:
         return sum(len(bucket) for bucket in self._buckets.values())
 
-    def distinct_values(self) -> Iterator[Any]:
-        return iter(self._buckets)
-
     def cardinality(self) -> int:
         """Number of distinct indexed values."""
         return len(self._buckets)
@@ -228,9 +225,3 @@ def build_index(kind: str, column: str) -> Index:
     if kind == "sorted":
         return SortedIndex(column)
     raise ValueError(f"unknown index kind {kind!r}")
-
-
-def bulk_load(index: Index, rows: Iterable[tuple[int, Any]]) -> None:
-    """Populate ``index`` from ``(rowid, value)`` pairs."""
-    for rowid, value in rows:
-        index.add(rowid, value)

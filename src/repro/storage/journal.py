@@ -1,10 +1,17 @@
 """Durability: a JSON-lines write-ahead journal plus snapshots.
 
 Every committed mutation is appended to the journal as one JSON object per
-line::
+line; a transaction's commit is one ``tx`` line holding its entries in
+order, so a commit cut short by a crash is a torn final line and
+recovery drops it whole::
 
     {"op": "create_table", "schema": {...}}
     {"op": "insert", "table": "recordings", "rowid": 17, "row": {...}}
+    {"op": "tx", "entries": [{"op": "update", ...}, {"op": "delete", ...}]}
+
+Each append opens, writes and closes the file and never fsyncs: a
+committed line survives a crash of the process, not an OS crash or a
+power loss.
 
 :func:`Journal.replay` rebuilds a :class:`~repro.storage.database.Database`
 from an empty state.  Snapshots (:meth:`Journal.write_snapshot`) compact
@@ -37,29 +44,16 @@ class Journal:
     def __init__(self, path: str | Path) -> None:
         self.path = Path(path)
         self.path.parent.mkdir(parents=True, exist_ok=True)
-        self._entries_written = 0
 
     # ------------------------------------------------------------------
     # writing
     # ------------------------------------------------------------------
 
     def append(self, entry: dict[str, Any]) -> None:
-        """Append one entry and fsync-lite (flush) it."""
+        """Append one entry as one line; closing the file hands it to
+        the OS (no fsync)."""
         with self.path.open("a", encoding="utf-8") as handle:
             handle.write(json.dumps(entry, sort_keys=True) + "\n")
-        self._entries_written += 1
-
-    def append_many(self, entries: list[dict[str, Any]]) -> None:
-        if not entries:
-            return
-        with self.path.open("a", encoding="utf-8") as handle:
-            for entry in entries:
-                handle.write(json.dumps(entry, sort_keys=True) + "\n")
-        self._entries_written += len(entries)
-
-    @property
-    def entries_written(self) -> int:
-        return self._entries_written
 
     # ------------------------------------------------------------------
     # reading / replay
@@ -125,6 +119,9 @@ class Journal:
         elif op == "create_index":
             table = database.table(entry["table"])
             table.create_index(entry["column"], entry.get("kind", "hash"))
+        elif op == "tx":
+            for inner in entry["entries"]:
+                Journal._apply(database, inner)
         else:
             raise JournalError(f"unknown journal op {op!r}")
 
@@ -146,7 +143,6 @@ class Journal:
         # Truncate the journal now that its effects live in the snapshot.
         with self.path.open("w", encoding="utf-8"):
             pass
-        self._entries_written = 0
         return target
 
     def load_snapshot(self, database: "Database") -> bool:

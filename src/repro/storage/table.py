@@ -6,8 +6,9 @@ row id.  All mutation goes through :meth:`Table.insert`,
 
 * apply column defaults and type coercion,
 * enforce NOT NULL / UNIQUE / CHECK constraints,
-* keep secondary indexes in sync,
-* report undo records so the transaction layer can roll back.
+* keep secondary indexes in sync.
+
+Undo for transactions is recorded one layer up, by the database.
 
 Rows handed back to callers are *copies*; mutating them never corrupts the
 table (the paper's "original collection unchanged" requirement depends on
@@ -16,7 +17,7 @@ this).
 
 from __future__ import annotations
 
-from typing import Any, Callable, Iterable, Iterator, Mapping
+from typing import Any, Iterable, Iterator, Mapping
 
 from repro.errors import (
     ConstraintViolation,
@@ -31,7 +32,6 @@ from repro.telemetry.metrics import Counter
 __all__ = ["Table"]
 
 Row = dict[str, Any]
-UndoCallback = Callable[[str, int, Row | None, Row | None], None]
 
 
 class Table:
@@ -46,7 +46,6 @@ class Table:
         self._rows: dict[int, Row] = {}
         self._next_rowid = 1
         self._indexes: dict[str, Index] = {}
-        self._undo_hook: UndoCallback | None = None
         # MVCC: committed row images keyed by rowid.  Each entry is an
         # append-only list of ``(commit_seq, image-or-None)`` pairs
         # (``None`` = deleted/not yet inserted at that point).  Absent
@@ -93,11 +92,6 @@ class Table:
             raise RowNotFoundError(
                 f"table {self.name!r} has no row id {rowid}"
             ) from None
-
-    def set_undo_hook(self, hook: UndoCallback | None) -> None:
-        """Install a callback ``(op, rowid, before, after)`` used by the
-        transaction layer to record undo information."""
-        self._undo_hook = hook
 
     def _metric(self, name: str, **labels: str) -> Counter:
         """Counter in the process-wide registry, labeled by table."""
@@ -180,8 +174,6 @@ class Table:
         for index in self._indexes.values():
             index.add(rowid, row.get(index.column))
         self._metric("storage_rows_inserted_total").inc()
-        if self._undo_hook is not None:
-            self._undo_hook("insert", rowid, None, dict(row))
         return rowid
 
     # ------------------------------------------------------------------
@@ -237,19 +229,7 @@ class Table:
         if prepared:
             self._metric("storage_rows_inserted_total").inc(len(prepared))
             self._metric("storage_bulk_batches_total").inc()
-        if self._undo_hook is not None:
-            for rowid, row in zip(rowids, prepared):
-                self._undo_hook("insert", rowid, None, dict(row))
         return rowids
-
-    def bulk_insert(self, rows: Iterable[Mapping[str, Any]]) -> list[int]:
-        """Insert many rows atomically; returns their row ids.
-
-        Equivalent to repeated :meth:`insert` but validates the whole
-        batch first (all-or-nothing) and defers index maintenance to one
-        bulk rebuild per index.
-        """
-        return self.apply_prepared(self.prepare_rows(rows))
 
     def update_row(self, rowid: int, changes: Mapping[str, Any]) -> Row:
         """Apply ``changes`` to the row ``rowid``; returns the new row."""
@@ -270,8 +250,6 @@ class Table:
                 index.add(rowid, new)
         self._rows[rowid] = after
         self._metric("storage_rows_updated_total").inc()
-        if self._undo_hook is not None:
-            self._undo_hook("update", rowid, before, dict(after))
         return dict(after)
 
     def delete_row(self, rowid: int) -> Row:
@@ -284,8 +262,6 @@ class Table:
         for index in self._indexes.values():
             index.remove(rowid, row.get(index.column))
         self._metric("storage_rows_deleted_total").inc()
-        if self._undo_hook is not None:
-            self._undo_hook("delete", rowid, dict(row), None)
         return dict(row)
 
     # ------------------------------------------------------------------

@@ -66,9 +66,7 @@ class WorkflowRepository:
         return version
 
     def _id_exists(self, identifier: int) -> bool:
-        return self.database.query(_TABLE).where(
-            col("id") == identifier
-        ).exists()
+        return self.database.find(_TABLE, identifier) is not None
 
     def load(self, name: str, version: int | None = None) -> Workflow:
         """Fetch a workflow by name (latest version by default)."""

@@ -7,6 +7,8 @@ from repro.archive.fixity import AUDIT_WORKFLOW, REPAIR_WORKFLOW
 from repro.archive.migration import MIGRATION_WORKFLOW
 from repro.core.preservation import PreservationLevel, PreservationPolicy
 from repro.errors import ArchiveError
+from repro.sounds.generator import CollectionConfig, generate_collection
+from repro.telemetry import Telemetry
 
 
 @pytest.fixture()
@@ -225,3 +227,25 @@ class TestStatus:
         names = {span["name"] for span in
                  vault_telemetry.snapshot()["spans"]["spans"]}
         assert {"vault.ingest", "vault.audit"} <= names
+
+
+class TestKeyedLookups:
+    def test_ingest_and_verify_bypass_the_query_planner(
+            self, isolated_telemetry, small_catalogue):
+        """CAS objects, manifest rows, runs and provstore counters are
+        read by primary key, which never goes through the planner."""
+        collection, __ = generate_collection(
+            small_catalogue, config=CollectionConfig(
+                seed=7, n_records=60, n_distinct_species=20,
+                n_outdated_species=3))
+        vault = PreservationVault("keyed", telemetry=Telemetry())
+        vault.ingest(collection, PreservationLevel.ANALYSIS_LEVEL)
+        vault.verify()
+        planned = {
+            dict(series.labels)["table"]
+            for series in isolated_telemetry.metrics.series(
+                "storage_planner_decisions_total")
+            if dict(series.labels)["path"] == "index_lookup"
+        }
+        assert planned.isdisjoint({"cas_objects", "vault_manifest",
+                                   "provenance_runs", "provstore_manifest"})

@@ -1,4 +1,8 @@
-"""Database-level behaviour: DDL, CRUD helpers, foreign keys."""
+"""Database-level behaviour: DDL, CRUD helpers, keyed access, foreign
+keys."""
+
+import sys
+import threading
 
 import pytest
 
@@ -88,6 +92,82 @@ class TestCRUDHelpers:
         deleted = db.delete_where("parent", col("id") < 2)
         assert deleted == 2
         assert db.count("parent") == 3
+
+
+class TestKeyedAccess:
+    def test_find_hit_and_miss(self, db):
+        db.insert("parent", {"id": 7, "name": "x"})
+        assert db.find("parent", 7) == {"id": 7, "name": "x"}
+        assert db.find("parent", 8) is None
+
+    def test_upsert_inserts_then_updates_the_same_row(self, db):
+        rowid = db.upsert("parent", {"id": 1, "name": "a"})
+        assert db.upsert("parent", {"id": 1, "name": "b"}) == rowid
+        assert db.rowid_for("parent", 1) == rowid
+        assert db.get("parent", 1) == {"id": 1, "name": "b"}
+        assert db.count("parent") == 1
+
+    @staticmethod
+    def _journaled(path):
+        db = Database("d", journal_path=path)
+        db.create_table(TableSchema("t", [
+            Column("id", ct.INTEGER), Column("v", ct.TEXT),
+        ], primary_key="id"))
+        return db
+
+    def test_rolled_back_upsert_leaves_no_trace(self, tmp_path):
+        path = tmp_path / "j.log"
+        db = self._journaled(path)
+        db.insert("t", {"id": 1, "v": "kept"})
+        with pytest.raises(RuntimeError):
+            with db.transaction():
+                db.upsert("t", {"id": 1, "v": "lost"})
+                db.upsert("t", {"id": 2, "v": "lost"})
+                raise RuntimeError("abort")
+        expected = [{"id": 1, "v": "kept"}]
+        assert db.query("t").all() == expected
+        assert Database.recover("d", path).query("t").all() == expected
+
+    def test_journaled_upsert_recovers(self, tmp_path):
+        path = tmp_path / "j.log"
+        db = self._journaled(path)
+        for key, value in ((1, "a"), (2, "b"), (1, "c")):
+            db.upsert("t", {"id": key, "v": value})
+        recovered = Database.recover("d", path)
+        assert recovered.query("t").all() == db.query("t").all() == [
+            {"id": 1, "v": "c"}, {"id": 2, "v": "b"}]
+
+    def test_concurrent_upserts_keep_one_row_per_key(self, db):
+        """Probe and write are one step: racing first upserts of a key
+        must not both insert it (a UNIQUE violation).  The threads walk
+        the keys in step, so each key's first upsert is contended."""
+        n_threads, per_thread, n_keys = 8, 3000, 16
+        barrier = threading.Barrier(n_threads)
+        errors: list[Exception] = []
+
+        def worker(worker_id: int) -> None:
+            try:
+                barrier.wait(timeout=10)
+                for step in range(per_thread):
+                    db.upsert("parent", {"id": step * n_keys // per_thread,
+                                         "name": f"w{worker_id}"})
+            except Exception as exc:  # asserted empty after the join
+                errors.append(exc)
+
+        threads = [threading.Thread(target=worker, args=(i,))
+                   for i in range(n_threads)]
+        previous = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(previous)
+        assert not any(thread.is_alive() for thread in threads)
+        assert errors == []
+        assert db.count("parent") == n_keys
 
 
 class TestForeignKeys:

@@ -592,10 +592,10 @@ class TestCommitDurabilityOrdering:
         tx = database.transaction()
         database.update("ops", rowid, {"step": 99})
 
-        def boom(entries):
+        def boom(entry):
             raise OSError("disk full")
 
-        monkeypatch.setattr(database.journal, "append_many", boom)
+        monkeypatch.setattr(database.journal, "append", boom)
         with pytest.raises(OSError):
             tx.commit()
         # the transaction is still open with nothing published: a fresh

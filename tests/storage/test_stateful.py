@@ -2,12 +2,16 @@
 
 A hypothesis state machine drives the :class:`Database` through random
 sequences of inserts, updates, deletes, index creations, transactions
-(committed and rolled back) and full journal recoveries, checking after
-every step that the engine's visible state equals a trivial dict-based
-reference model.
+(committed and rolled back), full journal recoveries and crashes in the
+middle of a commit, checking after every step that the engine's visible
+state equals a trivial dict-based reference model.
 """
 
 from __future__ import annotations
+
+import shutil
+import tempfile
+from pathlib import Path
 
 import pytest
 from hypothesis import settings
@@ -33,8 +37,6 @@ class StorageMachine(RuleBasedStateMachine):
 
     @initialize(use_journal=st.booleans())
     def setup(self, use_journal):
-        import tempfile
-
         self.journal_path = None
         if use_journal:
             self.tmpdir = tempfile.TemporaryDirectory()
@@ -103,6 +105,32 @@ class StorageMachine(RuleBasedStateMachine):
             return
         recovered = Database.recover("state", self.journal_path)
         assert self._visible(recovered) == self.model
+
+    @rule(pks=st.lists(st.integers(0, 30), min_size=2, max_size=3,
+                       unique=True),
+          name=st.text(max_size=8), cut=st.integers(0, 10_000))
+    def crash_mid_commit(self, pks, name, cut):
+        """Commit a multi-insert transaction, then recover from a copy
+        of the journal cut at a byte inside that commit: the rows must be
+        the model before the commit or after it, never a mix."""
+        if self.journal_path is None or any(pk in self.model for pk in pks):
+            return
+        journal = Path(self.journal_path)
+        start = journal.stat().st_size
+        before = dict(self.model)
+        with self.db.transaction():
+            for pk in pks:
+                self.db.insert("t", {"pk": pk, "name": name, "score": None})
+                self.model[pk] = (name, None)
+        data = journal.read_bytes()
+        with tempfile.TemporaryDirectory() as crash_dir:
+            crashed = Path(crash_dir) / journal.name
+            crashed.write_bytes(data[:start + cut % (len(data) - start)])
+            snapshot = self.db.journal.snapshot_path()
+            if snapshot.exists():
+                shutil.copy(snapshot, Path(crash_dir) / snapshot.name)
+            recovered = self._visible(Database.recover("crash", crashed))
+        assert recovered in (before, self.model)
 
     @rule()
     def checkpoint(self):

@@ -138,6 +138,25 @@ class TestJournalInteraction:
         recovered = Database.recover("tx", path)
         assert recovered.count("t") == 2
 
+    def test_commit_cut_short_recovers_none_of_it(self, tmp_path):
+        path = tmp_path / "j.log"
+        db = Database("tx", journal_path=path)
+        db.create_table(TableSchema("t", [
+            Column("id", ct.INTEGER)], primary_key="id"))
+        db.insert("t", {"id": 1})
+        with db.transaction():
+            db.insert("t", {"id": 2})
+        earlier = path.stat().st_size
+        with db.transaction():
+            for key in (3, 4, 5):
+                db.insert("t", {"id": key})
+        journal = path.read_bytes()
+        # every crash point that leaves the last commit incomplete
+        for cut in range(earlier, len(journal) - 1):
+            path.write_bytes(journal[:cut])
+            recovered = Database.recover("tx", path)
+            assert sorted(recovered.query("t").values("id")) == [1, 2], cut
+
 
 class TestFailedRollback:
     """Regression (satellite bugfix): a ``restore_*`` crash mid-replay
