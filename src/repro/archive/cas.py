@@ -106,15 +106,18 @@ class ContentAddressedStore:
         """Store ``payload``; returns its digest.  Re-putting an
         existing payload deduplicates (one blob, ``refs`` + 1)."""
         digest = sha256_hex(payload)
-        row = self._row(digest) or {
-            "digest": digest,
-            "size_bytes": len(payload.encode("utf-8")),
-            "media_type": media_type,
-            "refs": 0,
-            "payload": payload,
-        }
-        row["refs"] += 1
-        self.database.upsert(_OBJECTS, row)
+        # read refs and write refs + 1 as one step, or concurrent puts
+        # of one payload lose counts
+        with self.database.exclusive():
+            row = self._row(digest) or {
+                "digest": digest,
+                "size_bytes": len(payload.encode("utf-8")),
+                "media_type": media_type,
+                "refs": 0,
+                "payload": payload,
+            }
+            row["refs"] += 1
+            self.database.upsert(_OBJECTS, row)
         return digest
 
     # ------------------------------------------------------------------
@@ -215,7 +218,8 @@ class ContentAddressedStore:
                 f"{self.name}: refusing to restore {digest[:12]}… from a "
                 f"payload hashing to {actual[:12]}…"
             )
-        row = self._row(digest) or {"digest": digest, "refs": 1}
-        row.update(payload=payload, media_type=media_type,
-                   size_bytes=len(payload.encode("utf-8")))
-        self.database.upsert(_OBJECTS, row)
+        with self.database.exclusive():
+            row = self._row(digest) or {"digest": digest, "refs": 1}
+            row.update(payload=payload, media_type=media_type,
+                       size_bytes=len(payload.encode("utf-8")))
+            self.database.upsert(_OBJECTS, row)

@@ -34,6 +34,7 @@ Concurrency model (multi-tenant storage)
 from __future__ import annotations
 
 import threading
+from contextlib import AbstractContextManager
 from pathlib import Path
 from typing import Any, Iterable, Mapping
 
@@ -46,8 +47,9 @@ from repro.errors import (
     UnknownTableError,
 )
 from repro.storage.journal import Journal, encode_row
+from repro.storage.planner import plan_query
 from repro.storage.predicate import Predicate
-from repro.storage.query import Query
+from repro.storage.query import Query, matching_rows
 from repro.storage.schema import TableSchema
 from repro.storage.snapshot import Snapshot
 from repro.storage.table import Table
@@ -142,13 +144,17 @@ class Database:
         return name in self._tables
 
     def create_index(self, table: str, column: str, kind: str = "hash") -> None:
-        """Create a secondary index; journaled so recovery keeps it."""
+        """Create a secondary index; journaled so recovery keeps it.
+        Idempotent: a call that leaves the index as it was writes no
+        journal entry."""
         with self._lock:
-            self.table(table).create_index(column, kind)
-            self._journal_write(
-                {"op": "create_index", "table": table, "column": column,
-                 "kind": kind}
-            )
+            target = self.table(table)
+            before = target.index_on(column)
+            if target.create_index(column, kind) is not before:
+                self._journal_write(
+                    {"op": "create_index", "table": table,
+                     "column": column, "kind": kind}
+                )
 
     # ------------------------------------------------------------------
     # row operations
@@ -274,21 +280,27 @@ class Database:
             )
             return row
 
+    def _matching_rowids(self, table_name: str,
+                         predicate: Predicate) -> list[int]:
+        """Row ids a predicate write touches, in rowid order: the
+        planner's candidates (every row when no index serves the
+        predicate), each re-checked against ``predicate``."""
+        plan = plan_query(self.table(table_name), predicate)
+        return [rowid for rowid, __ in matching_rows(plan, predicate)]
+
     def update_where(self, table_name: str, predicate: Predicate,
                      changes: Mapping[str, Any]) -> int:
         """Update every matching row; returns the number updated.
 
-        The statement is atomic: outside an explicit transaction the
-        loop runs in an implicit one, so a conflict or constraint
-        violation on any matching row rolls back the rows already
-        touched instead of leaving a partially applied statement.
+        Matching rows come from the query planner, so an indexed
+        predicate visits only its candidates.  The statement is atomic:
+        outside an explicit transaction the loop runs in an implicit
+        one, so a conflict or constraint violation on any matching row
+        rolls back the rows already touched instead of leaving a
+        partially applied statement.
         """
         with self._lock:
-            table = self.table(table_name)
-            matching = [
-                rowid for rowid, row in table.rows_with_ids()
-                if predicate(row)
-            ]
+            matching = self._matching_rowids(table_name, predicate)
             if matching and self._current_transaction() is None:
                 with self.transaction():
                     for rowid in matching:
@@ -305,11 +317,7 @@ class Database:
         rolls back the deletes already applied.
         """
         with self._lock:
-            table = self.table(table_name)
-            matching = [
-                rowid for rowid, row in table.rows_with_ids()
-                if predicate(row)
-            ]
+            matching = self._matching_rowids(table_name, predicate)
             if matching and self._current_transaction() is None:
                 with self.transaction():
                     for rowid in matching:
@@ -398,6 +406,16 @@ class Database:
                 return self.insert(table_name, row)
             self.update(table_name, rowid, row)
             return rowid
+
+    def exclusive(self) -> AbstractContextManager[Any]:
+        """The write lock, as a context manager.
+
+        No other thread's write lands while it is held, so a read and
+        the write it decides (bump a counter column, insert the keys a
+        probe found absent) make one atomic step.  Each statement inside
+        still commits on its own, and readers do not wait.
+        """
+        return self._lock
 
     # ------------------------------------------------------------------
     # queries
@@ -733,7 +751,8 @@ class Database:
 
     @classmethod
     def recover(cls, name: str, journal_path: str | Path) -> "Database":
-        """Rebuild a database from its snapshot + journal."""
+        """Rebuild a database from its snapshot + journal (a torn final
+        journal line is dropped and cut off the file)."""
         database = cls(name)
         journal = Journal(journal_path)
         journal.load_snapshot(database)

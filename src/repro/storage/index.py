@@ -14,7 +14,7 @@ Indexes store *row ids*, never rows.  ``None`` values are not indexed
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right, insort
-from typing import Any, Iterable, Iterator
+from typing import Any, Collection, Iterable, Iterator
 
 __all__ = ["Index", "HashIndex", "SortedIndex"]
 
@@ -87,15 +87,20 @@ class HashIndex(Index):
             if not bucket:
                 del self._buckets[value]
 
-    def lookup(self, value: Any) -> set[int]:
+    def _bucket(self, value: Any) -> Collection[int]:
         if value is None:
-            return set()
-        return set(self._buckets.get(value, ()))
+            return ()
+        try:
+            return self._buckets.get(value, ())
+        except TypeError:
+            # an unhashable value equals no indexed one
+            return ()
+
+    def lookup(self, value: Any) -> set[int]:
+        return set(self._bucket(value))
 
     def count(self, value: Any) -> int:
-        if value is None:
-            return 0
-        return len(self._buckets.get(value, ()))
+        return len(self._bucket(value))
 
     def clear(self) -> None:
         self._buckets.clear()
@@ -156,15 +161,20 @@ class SortedIndex(Index):
             yield self._entries[position][1]
 
     def _range_bounds(self, low: Any, high: Any) -> tuple[int, int]:
-        if low is None:
-            start = 0
-        else:
-            start = bisect_left(self._entries, (low,))
-        if high is None:
-            stop = len(self._entries)
-        else:
-            # (high, +inf) — use a tuple longer than any entry key.
-            stop = bisect_right(self._entries, (high, float("inf")))
+        try:
+            if low is None:
+                start = 0
+            else:
+                start = bisect_left(self._entries, (low,))
+            if high is None:
+                stop = len(self._entries)
+            else:
+                # (high, +inf) — use a tuple longer than any entry key.
+                stop = bisect_right(self._entries, (high, float("inf")))
+        except TypeError:
+            # a bound the indexed values cannot be ordered against
+            # matches none of them, as a predicate's comparison says
+            return 0, 0
         return start, stop
 
     def count_range(self, low: Any, high: Any) -> int:

@@ -3,7 +3,7 @@
 Every committed mutation is appended to the journal as one JSON object per
 line; a transaction's commit is one ``tx`` line holding its entries in
 order, so a commit cut short by a crash is a torn final line and
-recovery drops it whole::
+recovery drops it whole, and cuts it off the file::
 
     {"op": "create_table", "schema": {...}}
     {"op": "insert", "table": "recordings", "rowid": 17, "row": {...}}
@@ -62,30 +62,52 @@ class Journal:
     def entries(self) -> Iterator[dict[str, Any]]:
         """Yield journal entries in order; tolerate a torn final line
         (interrupted write) but raise on corruption in the middle."""
+        for entry, __ in self._entries_with_ends():
+            yield entry
+
+    def _entries_with_ends(self) -> Iterator[tuple[dict[str, Any], int]]:
+        """Each entry with the byte offset at which its line ends.
+
+        A final line that lacks its newline or does not parse is the
+        torn tail of an interrupted append and is skipped; a bad line
+        anywhere else is corruption and raises.
+        """
         if not self.path.exists():
             return
-        with self.path.open("r", encoding="utf-8") as handle:
+        with self.path.open("rb") as handle:
             lines = handle.readlines()
+        end = 0
         for number, line in enumerate(lines, start=1):
-            line = line.strip()
-            if not line:
+            last = number == len(lines)
+            if last and not line.endswith(b"\n"):
+                return
+            end += len(line)
+            if not line.strip():
                 continue
             try:
-                yield json.loads(line)
+                entry = json.loads(line)
             except json.JSONDecodeError as exc:
-                if number == len(lines):
-                    # torn tail from an interrupted append: ignore
+                if last:
                     return
                 raise JournalError(
                     f"{self.path}: corrupt journal line {number}: {exc}"
                 ) from None
+            yield entry, end
 
     def replay(self, database: "Database") -> int:
-        """Apply every journal entry to ``database``; returns the count."""
-        applied = 0
-        for entry in self.entries():
+        """Apply every journal entry to ``database``; returns the count.
+
+        Then cut a torn tail off the file, so the next append starts a
+        line of its own instead of joining the torn one (which would
+        turn a dropped write into corruption in the middle).
+        """
+        applied = intact = 0
+        for entry, intact in self._entries_with_ends():
             self._apply(database, entry)
             applied += 1
+        if self.path.exists() and self.path.stat().st_size > intact:
+            with self.path.open("r+b") as handle:
+                handle.truncate(intact)
         return applied
 
     @staticmethod

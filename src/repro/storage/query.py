@@ -32,7 +32,7 @@ from repro.telemetry import get_telemetry
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.storage.planner import QueryPlan
 
-__all__ = ["Query", "Aggregate"]
+__all__ = ["Query", "Aggregate", "matching_rows"]
 
 
 class Aggregate:
@@ -184,31 +184,9 @@ class Query:
 
     def _base_rows(self, plan: "QueryPlan",
                    filtered: bool = True) -> Iterator[Row]:
-        candidates = plan.rowids()
-        metrics = get_telemetry().metrics
-        table_name = self._table.name
-        if candidates is None:
-            metrics.counter("storage_full_scans_total",
-                            table=table_name).inc()
-        else:
-            metrics.counter("storage_index_hits_total",
-                            table=table_name).inc(len(candidates))
-            total = len(self._table)
-            if total:
-                # Fraction of the table the chosen access path narrowed
-                # this query to.
-                metrics.gauge("storage_index_selectivity",
-                              table=table_name).set(
-                    len(candidates) / total)
-        scanned = 0
-        try:
-            for row in self._table.scan(candidates):
-                scanned += 1
-                if not filtered or self._predicate(row):
-                    yield row
-        finally:
-            metrics.counter("storage_rows_scanned_total",
-                            table=table_name).inc(scanned)
+        predicate = self._predicate if filtered else None
+        for __, row in matching_rows(plan, predicate):
+            yield row
 
     def _joined_rows(self, plan: "QueryPlan") -> Iterator[Row]:
         if not self._joins:
@@ -464,6 +442,41 @@ class Query:
                 result[agg.alias] = agg.compute(rows)
             results.append(result)
         return results
+
+
+def matching_rows(plan: "QueryPlan", predicate: Predicate | None
+                  ) -> Iterator[tuple[int, Row]]:
+    """``(rowid, row)`` for every candidate of ``plan`` (every row on a
+    scan-shaped path) that satisfies ``predicate`` (``None``: every
+    candidate), in rowid order.
+
+    The one candidate path of queries and of predicate writes
+    (``Database.update_where``/``delete_where``): it counts the full
+    scan or the index hits, the index selectivity and the rows scanned.
+    """
+    table = plan.table
+    candidates = plan.rowids()
+    metrics = get_telemetry().metrics
+    if candidates is None:
+        metrics.counter("storage_full_scans_total", table=table.name).inc()
+    else:
+        metrics.counter("storage_index_hits_total",
+                        table=table.name).inc(len(candidates))
+        total = len(table)
+        if total:
+            # Fraction of the table the chosen access path narrowed
+            # this statement to.
+            metrics.gauge("storage_index_selectivity",
+                          table=table.name).set(len(candidates) / total)
+    scanned = 0
+    try:
+        for rowid, row in table.rows_with_ids(candidates):
+            scanned += 1
+            if predicate is None or predicate(row):
+                yield rowid, row
+    finally:
+        metrics.counter("storage_rows_scanned_total",
+                        table=table.name).inc(scanned)
 
 
 def _hashable(value: Any) -> Any:

@@ -38,9 +38,10 @@ class SnapshotTable:
     """Read-only view of one table as of a snapshot's commit sequence.
 
     Duck-types the read surface of :class:`~repro.storage.table.Table`
-    (``name``/``schema``/``__len__``/``rows``/``row_by_id``/``scan``/
-    ``index_on``), so :class:`~repro.storage.query.Query` and the planner
-    run against it unchanged.
+    (``name``/``schema``/``__len__``/``rows``/``rows_with_ids``/
+    ``row_by_id``/``scan``/``index_on``), so
+    :class:`~repro.storage.query.Query` and the planner run against it
+    unchanged.
     """
 
     def __init__(self, table: Table, seq: int, lock: Any) -> None:
@@ -60,7 +61,7 @@ class SnapshotTable:
 
     def __len__(self) -> int:
         if self._count is None:
-            self._count = sum(1 for _ in self._items())
+            self._count = sum(1 for _ in self.rows_with_ids())
         return self._count
 
     def __iter__(self) -> Iterator[Row]:
@@ -69,23 +70,25 @@ class SnapshotTable:
     def __repr__(self) -> str:
         return f"SnapshotTable({self.name}@{self._seq})"
 
-    def _items(self) -> Iterator[tuple[int, Row]]:
-        # Collect the candidate rowids under the lock (cheap), then
-        # resolve versions lock-free: version chains are append-only and
-        # physical row dicts are replaced rather than mutated in place.
-        with self._lock:
-            rowids = sorted(self._table.tracked_rowids())
-        for rowid in rowids:
+    def rows_with_ids(self, rowids: Iterable[int] | None = None
+                      ) -> Iterator[tuple[int, Row]]:
+        """``(rowid, row)`` visible at the snapshot, in rowid order:
+        every row, or the visible ones among ``rowids``."""
+        if rowids is None:
+            # Collect the candidate rowids under the lock (cheap), then
+            # resolve versions lock-free: version chains are append-only
+            # and physical row dicts are replaced rather than mutated in
+            # place.
+            with self._lock:
+                rowids = self._table.tracked_rowids()
+        for rowid in sorted(rowids):
             row = self._table.version_at(rowid, self._seq)
             if row is not None:
                 yield rowid, row
 
     def rows(self) -> Iterator[Row]:
-        for _, row in self._items():
+        for _, row in self.rows_with_ids():
             yield row
-
-    def rows_with_ids(self) -> Iterator[tuple[int, Row]]:
-        return self._items()
 
     def row_by_id(self, rowid: int) -> Row:
         row = self._table.version_at(rowid, self._seq)
@@ -96,13 +99,8 @@ class SnapshotTable:
         return row
 
     def scan(self, rowids: Iterable[int] | None = None) -> Iterator[Row]:
-        if rowids is None:
-            yield from self.rows()
-            return
-        for rowid in sorted(set(rowids)):
-            row = self._table.version_at(rowid, self._seq)
-            if row is not None:
-                yield row
+        for _, row in self.rows_with_ids(rowids):
+            yield row
 
     # -- planner surface: no index acceleration through a snapshot ------
 

@@ -81,9 +81,14 @@ class Table:
         for rowid in sorted(self._rows):
             yield dict(self._rows[rowid])
 
-    def rows_with_ids(self) -> Iterator[tuple[int, Row]]:
-        for rowid in sorted(self._rows):
-            yield rowid, dict(self._rows[rowid])
+    def rows_with_ids(self, rowids: Iterable[int] | None = None
+                      ) -> Iterator[tuple[int, Row]]:
+        """Yield ``(rowid, copy)`` in rowid order: every row, or the rows
+        among ``rowids`` (ids that hold no row are skipped)."""
+        for rowid in sorted(self._rows if rowids is None else rowids):
+            row = self._rows.get(rowid)
+            if row is not None:
+                yield rowid, dict(row)
 
     def row_by_id(self, rowid: int) -> Row:
         try:
@@ -480,13 +485,8 @@ class Table:
 
     def scan(self, rowids: Iterable[int] | None = None) -> Iterator[Row]:
         """Yield copies of rows; restricted to ``rowids`` when given."""
-        if rowids is None:
-            yield from self.rows()
-            return
-        for rowid in sorted(rowids):
-            row = self._rows.get(rowid)
-            if row is not None:
-                yield dict(row)
+        for __, row in self.rows_with_ids(rowids):
+            yield row
 
     # ------------------------------------------------------------------
     # bulk state (snapshots)

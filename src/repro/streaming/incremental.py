@@ -176,6 +176,11 @@ class IncrementalCurator:
         self._results: dict[str, dict[str, Any]] = {}
         self._dirty: set[str] = set()
         self._register_kinds()
+        # shard reads are id ranges and the shard count comes from the
+        # largest id: an ordered index serves both without a table scan
+        # (on a primary key it replaces the hash index, and serves the
+        # key lookups and UNIQUE checks in its place)
+        database.create_index(table, id_field, "sorted")
         self._ensure_review_table()
 
     # ------------------------------------------------------------------
@@ -193,6 +198,8 @@ class IncrementalCurator:
                 Column("status", ct.TEXT, default="flagged"),
             ], primary_key="record_id"))
             self.database.create_index(self.review_table, "shard", "hash")
+        # each sweep replaces a shard's slice by record id range
+        self.database.create_index(self.review_table, "record_id", "sorted")
 
     def _register_kinds(self) -> None:
         registry = self.engine.registry

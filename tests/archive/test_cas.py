@@ -1,5 +1,8 @@
 """The content-addressed store: digests as keys, fixity as identity."""
 
+import sys
+import threading
+
 import pytest
 
 from repro.archive.cas import ContentAddressedStore
@@ -102,3 +105,35 @@ class TestRestore:
         with pytest.raises(FixityError):
             store.restore(digest, "a lie")
         assert not store.verify(digest)
+
+
+class TestConcurrentPuts:
+    def test_every_put_of_one_payload_counts(self, store):
+        threads_n, puts_each = 8, 200
+        barrier = threading.Barrier(threads_n)
+        errors = []
+
+        def worker():
+            try:
+                barrier.wait(timeout=30)
+                for _ in range(puts_each):
+                    store.put("one payload")
+            except Exception as exc:  # reported through the assert below
+                errors.append(exc)
+
+        previous = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=worker)
+                       for _ in range(threads_n)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(previous)
+        assert not any(thread.is_alive() for thread in threads)
+        assert errors == []
+        assert len(store) == 1
+        assert store.stat(sha256_hex("one payload")).refs == \
+            threads_n * puts_each

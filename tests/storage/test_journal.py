@@ -103,6 +103,29 @@ class TestCorruption:
         recovered = Database.recover("d", path)
         assert recovered.count("t") == 1
 
+    def test_recovery_cuts_torn_tail_before_next_append(self, tmp_path):
+        path = tmp_path / "j.log"
+        db = make_db(path)
+        db.insert("t", {"id": 1, "name": "cut short"})
+        path.write_bytes(path.read_bytes()[:-20])  # crash mid-append
+        recovered = Database.recover("d", path)
+        assert recovered.count("t") == 0
+        recovered.insert("t", {"id": 2, "name": "b"})
+        recovered.insert("t", {"id": 3, "name": "c"})
+        again = Database.recover("d", path)
+        assert sorted(again.query("t").values("id")) == [2, 3]
+
+    def test_unterminated_final_line_is_torn(self, tmp_path):
+        path = tmp_path / "j.log"
+        db = make_db(path)
+        db.insert("t", {"id": 1, "name": "a"})
+        intact = path.stat().st_size
+        db.insert("t", {"id": 2, "name": "b"})
+        path.write_bytes(path.read_bytes()[:-1])  # only the newline lost
+        recovered = Database.recover("d", path)
+        assert recovered.query("t").values("id") == [1]
+        assert path.stat().st_size == intact
+
     def test_corruption_in_middle_raises(self, tmp_path):
         path = tmp_path / "j.log"
         db = make_db(path)

@@ -287,3 +287,111 @@ def test_fuzz_exercises_every_access_path():
         strategies.add(plan["strategy"])
     assert {"full_scan", "index_lookup", "ordered_index"} <= paths
     assert {"materialize", "stream_ordered", "topk_heap"} <= strategies
+
+
+# ----------------------------------------------------------------------
+# predicate writes: update_where / delete_where take the planner's
+# candidates, so every index configuration must write the same rows
+# ----------------------------------------------------------------------
+
+N_WRITES = 25  # per index configuration and transaction mode
+
+CHANGE_CHOICES = [
+    {"genus": "Genus_new"},
+    {"year": 2011},
+    {"score": None, "site": 3},
+    {"species": "Species_00"},
+]
+
+
+def _rows(database):
+    return list(database.table("t").rows())
+
+
+@pytest.mark.parametrize("in_transaction", [False, True],
+                         ids=["autocommit", "rolled_back"])
+@pytest.mark.parametrize("config_name", sorted(INDEX_CONFIGS))
+def test_predicate_writes_match_oracle(config_name, in_transaction):
+    rng = random.Random(zlib.crc32(config_name.encode()) ^ 0x5EED)
+    for case in range(N_WRITES):
+        seed = rng.randrange(2 ** 32)
+        case_rng = random.Random(seed)
+        predicate = _random_predicate(case_rng)
+        changes = case_rng.choice(CHANGE_CHOICES)
+        label = f"[{config_name}] case {case} (seed {seed}): {predicate!r}"
+        database = _build_database(config_name)
+        before = _rows(database)
+        matched = [row for row in before if predicate(row)]
+        transaction = database.transaction() if in_transaction else None
+
+        updated = database.update_where("t", predicate, changes)
+        expected = [{**row, **changes} if predicate(row) else row
+                    for row in before]
+        assert updated == len(matched), label
+        assert _rows(database) == expected, label
+        # the indexes followed the writes: an indexed read agrees with
+        # a brute-force filter of the new rows
+        assert database.query("t").where(predicate).count() == sum(
+            1 for row in expected if predicate(row)), label
+
+        deleted = database.delete_where("t", predicate)
+        survivors = [row for row in expected if not predicate(row)]
+        assert deleted == len(expected) - len(survivors), label
+        assert _rows(database) == survivors, label
+
+        if transaction is not None:
+            transaction.rollback()
+            assert _rows(database) == before, label
+            assert database.query("t").where(predicate).count() == \
+                len(matched), label
+
+
+def test_indexed_update_where_scans_only_candidates(isolated_telemetry):
+    database = Database("scan")
+    database.create_table(TableSchema("t", [
+        Column("id", ct.INTEGER),
+        Column("species", ct.TEXT),
+        Column("site", ct.INTEGER),
+    ], primary_key="id"))
+    database.bulk_load("t", [
+        {"id": i, "species": SPECIES[i % len(SPECIES)], "site": 1}
+        for i in range(2000)
+    ])
+    database.create_index("t", "species", "hash")
+    metrics = isolated_telemetry.metrics
+
+    def scanned(statement):
+        before = metrics.total("storage_rows_scanned_total")
+        result = statement()
+        return result, metrics.total("storage_rows_scanned_total") - before
+
+    count, rows = scanned(lambda: database.update_where(
+        "t", col("species") == "Species_03", {"site": 2}))
+    assert count == 2000 // len(SPECIES) + 1 and rows == count
+    count, rows = scanned(lambda: database.update_where(
+        "t", col("id") == 1234, {"site": 3}))
+    assert count == 1 and rows == 1
+    count, rows = scanned(lambda: database.delete_where(
+        "t", (col("species") == "Species_03") & (col("site") == 2)))
+    assert count == 2000 // len(SPECIES) + 1 and rows == count
+    # no index serves the predicate: a full scan, as before
+    count, rows = scanned(lambda: database.update_where(
+        "t", col("site") == 3, {"site": 4}))
+    assert count == 1 and rows == len(database.table("t"))
+
+
+@pytest.mark.parametrize("config_name", sorted(INDEX_CONFIGS))
+def test_values_an_index_cannot_hash_or_order_match_like_a_scan(
+        config_name):
+    """A comparison the predicate evaluates as false (an unorderable
+    bound, an unhashable literal) must not raise through an index."""
+    database = _build_database(config_name)
+    rows = _rows(database)
+    for predicate in (col("year") > "1990", col("score").between("a", "z"),
+                      col("species") == ["Species_01"],
+                      (col("year") <= "x") | (col("genus") == "Genus_1")):
+        expected = sum(1 for row in rows if predicate(row))
+        assert database.query("t").where(predicate).count() == expected
+        assert database.update_where("t", predicate, {"site": 0}) == \
+            expected
+    assert database.find("t", "12") is None
