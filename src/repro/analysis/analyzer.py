@@ -26,7 +26,7 @@ from repro.analysis.provenance_rules import GraphState
 from repro.analysis.registry import Baseline, RuleRegistry, default_registry
 from repro.analysis.storage_rules import SchemaSet
 from repro.analysis.store_rules import StoreState
-from repro.analysis.vault_rules import DEFAULT_HORIZON_YEAR, VaultState
+from repro.analysis.vault_rules import VaultState
 from repro.analysis.workflow_rules import workflow_context
 from repro.errors import AnalysisError
 from repro.provenance.opm import OPMGraph
@@ -112,10 +112,9 @@ class Analyzer:
     # ------------------------------------------------------------------
 
     def analyze_workflow(self, workflow: Workflow,
-                         processor_registry: Any = None,
-                         dimensions: Any = None) -> AnalysisReport:
+                         processor_registry: Any = None) -> AnalysisReport:
         """Run the workflow rules on one workflow definition."""
-        context = workflow_context(processor_registry, dimensions)
+        context = workflow_context(processor_registry)
         return self._run_family("workflow", workflow, context)
 
     def analyze_graph(self,
@@ -140,13 +139,10 @@ class Analyzer:
                  else StoreState.from_store(store))
         return self._run_family("provstore", state, {})
 
-    def analyze_vault(self, vault: Any | VaultState,
-                      horizon_year: int = DEFAULT_HORIZON_YEAR
-                      ) -> AnalysisReport:
+    def analyze_vault(self, vault: Any | VaultState) -> AnalysisReport:
         """Run the vault rules on a vault (or state snapshot)."""
         state = (vault if isinstance(vault, VaultState)
-                 else VaultState.from_vault(vault,
-                                            horizon_year=horizon_year))
+                 else VaultState.from_vault(vault))
         return self._run_family("vault", state, {})
 
     def analyze_code(self, subject: Any,

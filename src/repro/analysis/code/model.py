@@ -609,10 +609,6 @@ class CodebaseState:
         for qualname in sorted(self.functions):
             yield self.functions[qualname]
 
-    def sorted_classes(self) -> Iterator[ClassInfo]:
-        for qualname in sorted(self.classes):
-            yield self.classes[qualname]
-
     def kind_of(self, qualname: str) -> str | None:
         return self.implementations.get(qualname)
 

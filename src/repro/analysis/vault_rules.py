@@ -68,8 +68,7 @@ class VaultState:
         )
 
     @classmethod
-    def from_vault(cls, vault: Any,
-                   horizon_year: int = DEFAULT_HORIZON_YEAR) -> "VaultState":
+    def from_vault(cls, vault: Any) -> "VaultState":
         copies = {
             digest: len(vault.group.replica_status(digest).healthy_stores)
             for digest in vault.group.digests()
@@ -81,7 +80,6 @@ class VaultState:
             vault.group.quorum,
             copies,
             vault.manifest(include_superseded=True),
-            horizon_year=horizon_year,
             federation=(None if federation is None
                         else cls.federation_snapshot(federation)),
         )

@@ -28,15 +28,16 @@ from repro.workflow.model import Workflow
 __all__ = ["workflow_context"]
 
 
-def workflow_context(processor_registry=None, dimensions=None) -> dict:
-    """Build the context dict the workflow rules read."""
+def workflow_context(processor_registry=None) -> dict:
+    """Build the context dict the workflow rules read: the processor
+    registry (the builtins by default) and the standard dimensions."""
+    from repro.core.dimensions import standard_registry
+
     if processor_registry is None:
         from repro.workflow.builtins import builtin_registry
         processor_registry = builtin_registry()
-    if dimensions is None:
-        from repro.core.dimensions import standard_registry
-        dimensions = set(standard_registry().names())
-    return {"registry": processor_registry, "dimensions": set(dimensions)}
+    return {"registry": processor_registry,
+            "dimensions": set(standard_registry().names())}
 
 
 def _loc(workflow: Workflow, *parts: str) -> str:

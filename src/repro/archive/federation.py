@@ -236,28 +236,27 @@ class FederatedVault:
         Per-level redundancy schemes + geo-aware site selection; the
         default policy erasure-codes levels 1–2 (k=4, n=8) and keeps
         three full replicas for levels 3–4.
-    provenance:
-        Repository receiving sync/audit/rebuild runs as OPM graphs.
     telemetry:
         Metrics sink (``federation_*`` series).
+
+    Sync, audit and rebuild runs go to the vault's own
+    :attr:`provenance` repository as OPM graphs, timed by a
+    :class:`~repro.archive.clock.TickClock`.
     """
+
+    #: the OPM agent controlling syncs, audits and rebuilds
+    agent_id = "agent/federation"
 
     def __init__(self, topology: SiteTopology,
                  policy: PlacementPolicy | None = None,
-                 provenance: ProvenanceRepository | None = None,
-                 telemetry: Telemetry | None = None,
-                 agent_id: str = "agent/federation",
-                 clock: Any | None = None) -> None:
+                 telemetry: Telemetry | None = None) -> None:
         if not len(topology):
             raise ArchiveError("a federated vault needs at least one site")
         self.topology = topology
         self.policy = policy or PlacementPolicy()
-        # `is not None`: an empty (falsy) repository must still be used
-        self.provenance = (provenance if provenance is not None
-                           else ProvenanceRepository())
+        self.provenance = ProvenanceRepository()
         self.telemetry = telemetry or get_telemetry()
-        self.agent_id = agent_id
-        self.clock = clock or TickClock()
+        self.clock = TickClock()
         self._catalog: dict[str, FederatedObject] = {}
         #: per site: the manifest of what the catalog says it SHOULD hold
         self._expected: dict[str, MerkleManifest] = {}
@@ -465,7 +464,7 @@ class FederatedVault:
     # sync
     # ------------------------------------------------------------------
 
-    def sync(self, site_name: str | None = None) -> SyncReport:
+    def sync(self) -> SyncReport:
         """Diff every site's actual manifest against its expected one,
         repair divergent fragments, and persist the sync as an OPM run.
 
@@ -481,11 +480,7 @@ class FederatedVault:
         metrics = self.telemetry.metrics
         metrics.counter("federation_sync_runs_total").inc()
 
-        sites = ([self.topology.site(site_name)] if site_name
-                 else self.topology.available_sites())
-        for site in sites:
-            if not site.available:
-                continue
+        for site in self.topology.available_sites():
             report.sites_synced.append(site.name)
             step_started = self.clock.now()
             diff = site.manifest().diff(self.expected_manifest(site.name))
@@ -586,8 +581,8 @@ class FederatedVault:
     # sampling audit
     # ------------------------------------------------------------------
 
-    def audit_sample(self, sample_fraction: float = 0.1,
-                     seed: int = 0) -> AuditSampleReport:
+    def audit_sample(self, sample_fraction: float = 0.1
+                     ) -> AuditSampleReport:
         """Scrub a deterministic sample of every available site's
         holdings; findings update the sites' manifests (so the next
         :meth:`sync` localizes and repairs them) and the pass is
@@ -603,7 +598,7 @@ class FederatedVault:
             step_started = self.clock.now()
             catalog_size = len(site.store)
             site_findings = site.scrub(sample_fraction=sample_fraction,
-                                       seed=seed + self._audits)
+                                       seed=self._audits)
             findings.extend(site_findings)
             scrubbed += (max(1, round(catalog_size * sample_fraction))
                          if catalog_size else 0)

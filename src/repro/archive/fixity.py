@@ -115,22 +115,21 @@ class FixityAuditor:
         The replica group under audit.
     provenance:
         Where audit/repair runs are persisted as OPM graphs.
-    agent_id:
-        The OPM agent owning the verifications.
     clock:
         ``now() -> datetime``; a fresh deterministic
         :class:`~repro.archive.clock.TickClock` by default.
     """
 
+    #: the OPM agent controlling sweeps and repairs
+    agent_id = "agent/fixity-auditor"
+
     def __init__(self, group: ReplicaGroup,
                  provenance: ProvenanceRepository | None = None,
-                 agent_id: str = "agent/fixity-auditor",
                  clock: Any | None = None) -> None:
         self.group = group
         # `is not None`: an empty (falsy) repository must still be used
         self.provenance = (provenance if provenance is not None
                            else ProvenanceRepository())
-        self.agent_id = agent_id
         self.clock = clock or TickClock()
         self._sweeps = 0
         self._repairs = 0

@@ -23,7 +23,7 @@ they don't — the win measured by ``benchmarks/test_infra_federation.py``.
 
 from __future__ import annotations
 
-from typing import Any, Iterator, Mapping
+from typing import Any, Mapping
 
 from repro.errors import ArchiveError
 from repro.hashing import sha256_hex
@@ -247,6 +247,3 @@ class MerkleManifest:
     def from_dict(cls, document: Mapping[str, Any]) -> "MerkleManifest":
         return cls(dict(document.get("entries", {})),
                    depth=int(document.get("depth", DEFAULT_DEPTH)))
-
-    def iter_entries(self) -> Iterator[tuple[str, str]]:
-        yield from sorted(self._entries.items())

@@ -135,21 +135,20 @@ class FormatMigrationPlanner:
         The replica group holding the payloads.
     provenance:
         Where migration runs are persisted as OPM graphs.
-    agent_id:
-        The OPM agent controlling migrations.
     clock:
         ``now() -> datetime``; deterministic tick clock by default.
     """
 
+    #: the OPM agent controlling migrations
+    agent_id = "agent/migration-planner"
+
     def __init__(self, group: ReplicaGroup,
                  provenance: ProvenanceRepository | None = None,
-                 agent_id: str = "agent/migration-planner",
                  clock: Any | None = None) -> None:
         self.group = group
         # `is not None`: an empty (falsy) repository must still be used
         self.provenance = (provenance if provenance is not None
                            else ProvenanceRepository())
-        self.agent_id = agent_id
         self.clock = clock or TickClock()
         self._runs = 0
 

@@ -242,6 +242,3 @@ class PlacementPolicy:
         """Available sites cheapest-first (latency, then name)."""
         return sorted((site for site in sites if site.available),
                       key=lambda s: (s.latency_ms, s.name))
-
-    def regions_spanned(self, sites: Sequence[Site]) -> int:
-        return len({site.region for site in sites})

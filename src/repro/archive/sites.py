@@ -28,7 +28,7 @@ import random
 from typing import Any, Iterable, Sequence
 
 from repro.archive.cas import ContentAddressedStore
-from repro.archive.merkle import DEFAULT_DEPTH, MerkleManifest
+from repro.archive.merkle import MerkleManifest
 from repro.errors import ArchiveError, SiteUnavailableError
 from repro.hashing import sha256_hex, stable_seed
 
@@ -64,38 +64,20 @@ class Site:
         Geo tag placement spreads across (e.g. ``southamerica``).
     latency_ms:
         Simulated per-read latency; reads prefer low-latency sites.
-    failure_rate:
-        Probability a :meth:`put` is refused transiently (exercises the
-        caller's retry path); drawn from a deterministic per-site RNG.
-    corruption_rate:
-        Probability a stored payload silently rots right after a write
-        (drill profiles only; 0 for honest sites).
-    manifest_depth:
-        Nibbles of the digest used for Merkle bucket addressing.
     """
 
-    def __init__(self, name: str, region: str, latency_ms: float = 10.0,
-                 failure_rate: float = 0.0, corruption_rate: float = 0.0,
-                 seed: int = 0,
-                 manifest_depth: int = DEFAULT_DEPTH) -> None:
+    def __init__(self, name: str, region: str,
+                 latency_ms: float = 10.0) -> None:
         if not name:
             raise ArchiveError("a site needs a name")
         if not region:
             raise ArchiveError(f"site {name!r} needs a region tag")
-        for label, rate in (("failure_rate", failure_rate),
-                            ("corruption_rate", corruption_rate)):
-            if not 0.0 <= rate < 1.0:
-                raise ArchiveError(
-                    f"site {name!r}: {label} {rate} outside [0, 1)")
         self.name = name
         self.region = region
         self.latency_ms = float(latency_ms)
-        self.failure_rate = failure_rate
-        self.corruption_rate = corruption_rate
         self.available = True
         self.store = ContentAddressedStore(f"site:{name}")
-        self._manifest = MerkleManifest(depth=manifest_depth)
-        self._rng = random.Random(stable_seed("site", name, seed))
+        self._manifest = MerkleManifest()
         self.simulated_io_ms = 0.0
 
     def __repr__(self) -> str:
@@ -106,7 +88,7 @@ class Site:
         )
 
     # ------------------------------------------------------------------
-    # availability / failure profile
+    # availability
     # ------------------------------------------------------------------
 
     def fail(self) -> None:
@@ -132,15 +114,9 @@ class Site:
     def put(self, payload: str,
             media_type: str = "application/json") -> str:
         self._check_up("put")
-        if self.failure_rate and self._rng.random() < self.failure_rate:
-            raise ArchiveError(
-                f"site {self.name}: transient write fault (simulated)")
         self._charge()
         digest = self.store.put(payload, media_type=media_type)
         self._manifest.set(digest, digest)
-        if self.corruption_rate and self._rng.random() < self.corruption_rate:
-            # silent rot straight after the write — the scrubber's job
-            self.store.corrupt(digest)
         return digest
 
     def get(self, digest: str) -> str:
@@ -173,14 +149,6 @@ class Site:
         self._charge()
         self.store.restore(digest, payload, media_type=media_type)
         self._manifest.set(digest, digest)
-
-    def wipe(self) -> int:
-        """Lose every object (site destruction drill); returns how many."""
-        digests = self.store.digests()
-        for digest in digests:
-            self.store.drop(digest)
-            self._manifest.remove(digest)
-        return len(digests)
 
     def digests(self) -> list[str]:
         return self.store.digests()
@@ -289,9 +257,6 @@ class SiteTopology:
 
     def regions(self) -> list[str]:
         return sorted({site.region for site in self._sites.values()})
-
-    def in_region(self, region: str) -> list[Site]:
-        return [site for site in self.sites() if site.region == region]
 
     def fail_site(self, name: str) -> Site:
         site = self.site(name)

@@ -121,8 +121,6 @@ class PreservationVault:
         Vault identity; store names derive from it (``<name>-r<i>``).
     replicas:
         Member store count (>= 1).
-    quorum:
-        Verified copies a read needs; majority by default.
     provenance:
         Repository receiving audit/repair/migration runs; a fresh one
         by default (pass the system repository to make preservation
@@ -142,20 +140,16 @@ class PreservationVault:
     """
 
     def __init__(self, name: str = "vault", replicas: int = 3,
-                 quorum: int | None = None,
                  provenance: ProvenanceRepository | None = None,
                  telemetry: Telemetry | None = None,
                  catalog_database: Database | None = None,
-                 clock: Any | None = None,
                  federation: Any | None = None) -> None:
         if replicas < 1:
             raise ArchiveError("a vault needs at least one replica")
         self.name = name
-        self.clock = clock or TickClock()
+        self.clock = TickClock()
         self.group = ReplicaGroup(
-            [ContentAddressedStore(f"{name}-r{i}") for i in range(replicas)],
-            quorum=quorum,
-        )
+            [ContentAddressedStore(f"{name}-r{i}") for i in range(replicas)])
         # `is not None`: an empty (falsy) repository must still be used
         self.provenance = (provenance if provenance is not None
                            else ProvenanceRepository())
@@ -392,15 +386,14 @@ class PreservationVault:
     # drills
     # ------------------------------------------------------------------
 
-    def inject_corruption(self, digest: str | None = None,
-                          store_index: int = 0) -> str:
-        """Corrupt one replica of one object (first record object by
-        default) — the test/drill hook behind the audit story."""
-        if digest is None:
-            rows = self.manifest(kind="record") or self.manifest()
-            if not rows:
-                raise ArchiveError("nothing archived to corrupt")
-            digest = rows[0]["digest"]
+    def inject_corruption(self, store_index: int = 0) -> str:
+        """Corrupt one replica of the first record object (the first
+        object when no record is archived) — the test/drill hook behind
+        the audit story."""
+        rows = self.manifest(kind="record") or self.manifest()
+        if not rows:
+            raise ArchiveError("nothing archived to corrupt")
+        digest = rows[0]["digest"]
         self.group.stores[store_index].corrupt(digest)
         return digest
 
@@ -413,7 +406,7 @@ class PreservationVault:
             self.telemetry.metrics.gauge("vault_replica_lag",
                                          store=store_name).set(lag)
 
-    def lint(self, horizon_year: int = 2014) -> Any:
+    def lint(self) -> Any:
         """Run the static vault rules and return the analysis report.
 
         Complements :meth:`verify`: the fixity sweep re-hashes payloads,
@@ -424,7 +417,7 @@ class PreservationVault:
         from repro.analysis import Analyzer
 
         analyzer = Analyzer(telemetry=self.telemetry)
-        report = analyzer.analyze_vault(self, horizon_year=horizon_year)
+        report = analyzer.analyze_vault(self)
         report.merge(analyzer.analyze_storage(self.catalog))
         return report
 

@@ -23,15 +23,9 @@ __all__ = ["run_e1_fig2", "run_e2_quality", "run_a2_decay",
            "run_a4_crossref", "run_all", "EXPERIMENTS"]
 
 
-def run_e1_fig2(study: FNJVCaseStudy | None = None,
-                max_workers: int = 1) -> dict[str, Any]:
-    """E1 — Figure 2's detection summary at paper scale.
-
-    ``max_workers`` widens the engine's wave scheduler (used only when
-    no ``study`` is supplied); the measured numbers are identical for
-    every width — the engine guarantees it.
-    """
-    study = study or FNJVCaseStudy(max_workers=max_workers)
+def run_e1_fig2(study: FNJVCaseStudy | None = None) -> dict[str, Any]:
+    """E1 — Figure 2's detection summary at paper scale."""
+    study = study or FNJVCaseStudy()
     result = study.run_detection_only()
     measured = {
         "records_processed": result.records_processed,

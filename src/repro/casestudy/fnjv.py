@@ -27,7 +27,6 @@ from repro.sounds.generator import (
 )
 from repro.taxonomy.catalogue import CatalogueOfLife
 from repro.taxonomy.service import CatalogueService
-from repro.workflow.cache import ResultCache
 from repro.workflow.engine import WorkflowEngine
 
 __all__ = ["PAPER_FIGURES", "CaseStudyResults", "FNJVCaseStudy"]
@@ -82,20 +81,13 @@ class FNJVCaseStudy:
         exactly.
     config:
         Collection generation parameters (paper scale by default).
-    availability / reputation:
-        The Catalogue service profile (Listing 1's values by default).
-    max_workers / result_cache:
-        Engine knobs: wave-parallel execution width and an optional
-        content-keyed result cache.  Traces and results are identical
-        for every ``max_workers`` — only wall-clock time changes.
+
+    The Catalogue service has the paper's profile (Listing 1):
+    availability and reputation as in :data:`PAPER_FIGURES`.
     """
 
     def __init__(self, seed: int = 2013,
-                 config: CollectionConfig | None = None,
-                 availability: float = 0.9,
-                 reputation: float = 1.0,
-                 max_workers: int = 1,
-                 result_cache: ResultCache | None = None) -> None:
+                 config: CollectionConfig | None = None) -> None:
         self.seed = seed
         self.config = config or CollectionConfig(seed=seed)
         self.catalogue = CatalogueOfLife()
@@ -105,11 +97,10 @@ class FNJVCaseStudy:
             self.catalogue, self.gazetteer, self.climate, self.config,
         )
         self.service = CatalogueService(
-            self.catalogue, availability=availability,
-            reputation=reputation, seed=seed,
+            self.catalogue, availability=PAPER_FIGURES["availability"],
+            reputation=PAPER_FIGURES["reputation"], seed=seed,
         )
-        self.engine = WorkflowEngine(max_workers=max_workers,
-                                     cache=result_cache)
+        self.engine = WorkflowEngine()
         self.provenance = ProvenanceManager()
         self.pipeline = CurationPipeline(
             self.collection, self.service,

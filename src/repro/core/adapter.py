@@ -13,7 +13,6 @@ Designer's tool.
 
 from __future__ import annotations
 
-import datetime as _dt
 from typing import Mapping
 
 from repro.errors import UnknownProcessorError, WorkflowError
@@ -55,17 +54,14 @@ class WorkflowAdapter:
     ----------
     creator:
         Recorded on every assertion (the expert's identity).
-    clock:
-        Zero-argument callable returning the assertion timestamp;
-        defaults to the Listing 1 instant, keeping runs deterministic.
+
+    Every assertion is dated at the Listing 1 instant (the
+    :class:`~repro.workflow.annotations.AnnotationAssertion` default),
+    keeping runs deterministic.
     """
 
-    def __init__(self, creator: str = "process designer",
-                 clock=None) -> None:
+    def __init__(self, creator: str = "process designer") -> None:
         self.creator = creator
-        self._clock = clock or (
-            lambda: _dt.datetime(2013, 11, 12, 19, 58, 9)
-        )
 
     # ------------------------------------------------------------------
     # writes
@@ -87,8 +83,7 @@ class WorkflowAdapter:
         text = QualityAnnotation(dict(quality)).to_text()
         if note:
             text = f"{note}\n{text}"
-        assertion = AnnotationAssertion(text, date=self._clock(),
-                                        creator=self.creator)
+        assertion = AnnotationAssertion(text, creator=self.creator)
         if processor_name is None:
             workflow.annotate(assertion)
         else:

@@ -23,7 +23,7 @@ from repro.core.assessment import (
     AssessmentReport,
     QualityValue,
 )
-from repro.core.dimensions import DimensionRegistry, standard_registry
+from repro.core.dimensions import standard_registry
 from repro.core.metrics import (
     QualityMetric,
     annotated_metric,
@@ -42,10 +42,10 @@ __all__ = ["DataQualityManager"]
 class DataQualityManager:
     """The end user's entry point for quality assessment."""
 
-    def __init__(self, provenance: ProvenanceRepository | None = None,
-                 dimensions: DimensionRegistry | None = None) -> None:
+    def __init__(self,
+                 provenance: ProvenanceRepository | None = None) -> None:
         self.provenance = provenance
-        self.dimensions = dimensions or standard_registry()
+        self.dimensions = standard_registry()
         self._profiles: dict[str, QualityProfile] = {}
         self._metrics: dict[str, QualityMetric] = {}
         for metric in (
@@ -102,9 +102,8 @@ class DataQualityManager:
     # contexts
     # ------------------------------------------------------------------
 
-    def context_for_run(self, run_id: str, collection=None,
-                        catalogue=None,
-                        extras: Mapping | None = None) -> AssessmentContext:
+    def context_for_run(self, run_id: str,
+                        collection=None) -> AssessmentContext:
         """Build a context around one captured run."""
         if self.provenance is None:
             raise QualityError(
@@ -116,8 +115,6 @@ class DataQualityManager:
             provenance=self.provenance,
             run_id=run_id,
             workflow_output=trace.outputs,
-            catalogue=catalogue,
-            extras=extras,
         )
 
     # ------------------------------------------------------------------
@@ -163,23 +160,16 @@ class DataQualityManager:
             )
         return report
 
-    def assess_operations(self, snapshot: Mapping,
-                          as_of=None,
-                          horizon_seconds: float = 7 * 24 * 3600.0
-                          ) -> AssessmentReport:
+    def assess_operations(self, snapshot: Mapping) -> AssessmentReport:
         """Quality information from the telemetry layer (an *external
         source* in the paper's taxonomy).
 
         ``snapshot`` is a :meth:`repro.telemetry.Telemetry.snapshot`
         dict.  The report carries the availability each service
-        *measured* at runtime (vs. the annotated ``Q(availability)``),
-        run reliability (fraction of runs that finished clean — a
-        ``degraded`` run is not clean), and, when ``as_of`` is given, a
-        timeliness score that decays linearly from the last finished
-        run to zero at ``horizon_seconds``.
+        *measured* at runtime (vs. the annotated ``Q(availability)``)
+        and run reliability (fraction of runs that finished clean — a
+        ``degraded`` run is not clean).
         """
-        import datetime as _dt
-
         from repro.telemetry import quality_signals
 
         signals = quality_signals(snapshot)
@@ -203,18 +193,6 @@ class DataQualityManager:
                        "(degraded runs are not clean)",
                 details={"run_counts": dict(run_counts)},
             ))
-        last_finished = signals.get("last_run_finished")
-        if as_of is not None and last_finished is not None:
-            finished = _dt.datetime.fromisoformat(last_finished)
-            age = max(0.0, (as_of - finished).total_seconds())
-            report.add(QualityValue(
-                "timeliness", max(0.0, 1.0 - age / horizon_seconds),
-                "external",
-                method="telemetry: linear decay since last finished run",
-                details={"last_run_finished": last_finished,
-                         "age_seconds": age,
-                         "horizon_seconds": horizon_seconds},
-            ))
         if "processor_seconds" in signals:
             slowest = max(signals["processor_seconds"].items(),
                           key=lambda item: item[1]["sum"])
@@ -227,9 +205,7 @@ class DataQualityManager:
             report.note("telemetry snapshot carried no quality signals")
         return report
 
-    def assess_preservation(self, federation,
-                            site_loss_probability: float = 0.05
-                            ) -> AssessmentReport:
+    def assess_preservation(self, federation) -> AssessmentReport:
         """Quality information from the federated vault (a *computed*
         source): the cost/durability trade each preservation level
         bought.
@@ -243,8 +219,9 @@ class DataQualityManager:
         relative to what the level's scheme actually spends (1.0 means
         the scheme is at least as cheap as plain replication; the
         erasure levels typically clamp there, which is the point).
+        Site loss is modeled at the federation's default probability.
         """
-        document = federation.durability_report(site_loss_probability)
+        document = federation.durability_report()
         report = AssessmentReport(subject="preservation (federation)")
         for level, entry in sorted(document["levels"].items()):
             scheme = entry["scheme"]
@@ -285,12 +262,12 @@ class DataQualityManager:
             report.note("the federation holds no objects yet")
         return report
 
-    def assess_collection(self, collection, catalogue=None,
-                          extras: Mapping | None = None) -> AssessmentReport:
+    def assess_collection(self, collection,
+                          catalogue=None) -> AssessmentReport:
         """Direct (no-run) assessment of a collection: accuracy against
         the catalogue plus completeness and consistency."""
         context = AssessmentContext(collection=collection,
-                                    catalogue=catalogue, extras=extras)
+                                    catalogue=catalogue)
         report = AssessmentReport(subject=collection.name)
         for name in ("field_completeness", "domain_consistency"):
             report.add(self.metric(name).measure(context))
@@ -307,8 +284,7 @@ class DataQualityManager:
     # dimension registration passthrough
     # ------------------------------------------------------------------
 
-    def define_dimension(self, name: str, category: str = "intrinsic",
-                         description: str = ""):
+    def define_dimension(self, name: str, category: str = "intrinsic"):
         """End users may add dimensions before registering metrics on
         them."""
-        return self.dimensions.define(name, category, description)
+        return self.dimensions.define(name, category)

@@ -25,6 +25,9 @@ __all__ = ["QualityLedger", "TrendPoint"]
 
 _TABLE = "quality_ledger"
 
+#: a change in value at most this large reads as "stable"
+TREND_TOLERANCE = 0.005
+
 
 class TrendPoint:
     """One (year, value) observation of one dimension."""
@@ -135,17 +138,16 @@ class QualityLedger:
     # trends
     # ------------------------------------------------------------------
 
-    def trend(self, subject: str, dimension: str,
-              tolerance: float = 0.005) -> str:
+    def trend(self, subject: str, dimension: str) -> str:
         """``"improving"`` / ``"degrading"`` / ``"stable"`` /
         ``"insufficient_data"`` over the recorded window."""
         points = self.series(subject, dimension)
         if len(points) < 2:
             return "insufficient_data"
         delta = points[-1].value - points[0].value
-        if delta > tolerance:
+        if delta > TREND_TOLERANCE:
             return "improving"
-        if delta < -tolerance:
+        if delta < -TREND_TOLERANCE:
             return "degrading"
         return "stable"
 

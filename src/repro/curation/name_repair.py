@@ -48,12 +48,10 @@ class NameRepairer:
     STEP = "stage1.1-name-repair"
 
     def __init__(self, history: CurationHistory,
-                 catalogue: CatalogueOfLife,
-                 max_distance: int = 2) -> None:
+                 catalogue: CatalogueOfLife) -> None:
         self.history = history
         self.collection = history.collection
         self.catalogue = catalogue
-        self.max_distance = max_distance
 
     def run(self) -> NameRepairReport:
         report = NameRepairReport()
@@ -95,8 +93,7 @@ class NameRepairer:
 
     def _suggestion_for(self, name: str) -> str | None:
         """``name`` itself when known; a fuzzy suggestion; or ``None``."""
-        resolution = self.catalogue.resolve(name, fuzzy=True,
-                                            max_distance=self.max_distance)
+        resolution = self.catalogue.resolve(name, fuzzy=True)
         if resolution.is_known:
             return name
         if resolution.status == "fuzzy":

@@ -29,8 +29,8 @@ from repro.geo.gazetteer import Gazetteer
 from repro.provenance.manager import ProvenanceManager
 from repro.sounds.collection import SoundCollection
 from repro.taxonomy.service import CatalogueService
-from repro.telemetry import Telemetry, get_telemetry
-from repro.workflow.cache import ResultCache, resource_key
+from repro.telemetry import get_telemetry
+from repro.workflow.cache import resource_key
 from repro.workflow.engine import WorkflowEngine
 
 __all__ = ["PipelineReport", "CurationPipeline", "CollectionSink",
@@ -117,10 +117,10 @@ class PipelineReport:
 class CurationPipeline:
     """Stage orchestration for one collection.
 
-    ``max_workers`` / ``result_cache`` configure the engine created when
-    ``engine`` is omitted: wave-parallel processor execution and
-    content-keyed memoization of repeat invocations (periodic
-    re-curation re-runs the same workflows over mostly unchanged data).
+    Pass an ``engine`` built with ``max_workers`` and a ``cache`` for
+    wave-parallel processor execution and content-keyed memoization of
+    repeat invocations (periodic re-curation re-runs the same workflows
+    over mostly unchanged data); a serial, uncached engine otherwise.
     """
 
     def __init__(self, collection: SoundCollection,
@@ -128,18 +128,14 @@ class CurationPipeline:
                  gazetteer: Gazetteer | None = None,
                  climate: ClimateArchive | None = None,
                  engine: WorkflowEngine | None = None,
-                 provenance: ProvenanceManager | None = None,
-                 telemetry: Telemetry | None = None,
-                 max_workers: int = 1,
-                 result_cache: ResultCache | None = None) -> None:
+                 provenance: ProvenanceManager | None = None) -> None:
         self.collection = collection
         self.service = service
         self.gazetteer = gazetteer or Gazetteer()
         self.climate = climate or ClimateArchive()
-        self.engine = engine or WorkflowEngine(max_workers=max_workers,
-                                               cache=result_cache)
+        self.engine = engine or WorkflowEngine()
         self.provenance = provenance or ProvenanceManager()
-        self.telemetry = telemetry or get_telemetry()
+        self.telemetry = get_telemetry()
         self.history = CurationHistory(collection)
         self.checker = SpeciesNameChecker(
             collection, service, engine=self.engine,
@@ -173,8 +169,7 @@ class CurationPipeline:
         metrics.counter("curation_stage_runs_total", stage=stage).inc()
         return result
 
-    def run_stage1(self, auto_approve_geocoding: bool = True,
-                   run_species_check: bool = True,
+    def run_stage1(self, run_species_check: bool = True,
                    repair_names: bool = False) -> PipelineReport:
         """Cleaning -> (fuzzy name repair) -> geocoding -> enrichment ->
         name check."""
@@ -187,12 +182,11 @@ class CurationPipeline:
                 NameRepairer(self.history, self.service.catalogue).run)
         geocoder = Geocoder(self.history, self.gazetteer)
         report.geocoding = self._timed_stage("geocoding", geocoder.run)
-        if auto_approve_geocoding:
-            # Unambiguous gazetteer hits are validated in bulk (the
-            # paper's curators validated each step); ambiguous ones stay
-            # in the disambiguation queue.
-            self.history.approve_step(Geocoder.STEP,
-                                      curator="curator (bulk validation)")
+        # Unambiguous gazetteer hits are validated in bulk (the paper's
+        # curators validated each step); ambiguous ones stay in the
+        # disambiguation queue.
+        self.history.approve_step(Geocoder.STEP,
+                                  curator="curator (bulk validation)")
         report.enrichment = self._timed_stage(
             "enrichment",
             EnvironmentalEnricher(self.history, self.climate).run)
@@ -215,20 +209,6 @@ class CurationPipeline:
     # ------------------------------------------------------------------
     # continuous curation
     # ------------------------------------------------------------------
-
-    def stream(self, capacity: int = 256, batch_size: int = 64,
-               policy: str = "block",
-               on_batch: Callable[[list], None] | None = None) -> Any:
-        """A backpressured ingest stream into this pipeline's
-        collection, flushing micro-batches through the storage engine's
-        bulk write path.  Wire ``on_batch`` to an
-        :class:`~repro.streaming.incremental.IncrementalCurator` hook
-        to keep assessment dirty-set-proportional as records arrive."""
-        from repro.streaming.stream import ObservationStream
-        return ObservationStream(
-            CollectionSink(self.collection), capacity=capacity,
-            batch_size=batch_size, policy=policy, on_batch=on_batch,
-            telemetry=self.telemetry, source=self.collection.name)
 
     def recheck_names(self, as_of_year: int) -> SpeciesCheckResult:
         """Re-run only the name check against the catalogue as known in

@@ -74,12 +74,10 @@ class SpatialAuditor:
 
     def __init__(self, collection: SoundCollection,
                  history: CurationHistory | None = None,
-                 mad_multiplier: float = 6.0,
                  min_distance_km: float = 400.0,
                  min_points: int = 5) -> None:
         self.collection = collection
         self.history = history
-        self.mad_multiplier = mad_multiplier
         self.min_distance_km = min_distance_km
         self.min_points = min_points
 
@@ -109,7 +107,6 @@ class SpatialAuditor:
             points = [(lat, lon) for __, lat, lon in entries]
             for outlier in spatial_outliers(
                 points,
-                mad_multiplier=self.mad_multiplier,
                 min_distance_km=self.min_distance_km,
                 min_points=self.min_points,
             ):

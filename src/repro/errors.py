@@ -139,10 +139,6 @@ class TaxonomyError(ReproError):
     """Base class for errors raised by :mod:`repro.taxonomy`."""
 
 
-class NameNotFoundError(TaxonomyError):
-    """A scientific name is absent from the catalogue."""
-
-
 class InvalidNameError(TaxonomyError):
     """A string is not a well-formed scientific name."""
 

@@ -36,12 +36,11 @@ __all__ = ["ResearchObject"]
 class ResearchObject:
     """One investigation's aggregation."""
 
-    def __init__(self, ro_id: str, title: str, creator: str,
-                 created: _dt.date | None = None) -> None:
+    def __init__(self, ro_id: str, title: str, creator: str) -> None:
         self.ro_id = ro_id
         self.title = title
         self.creator = creator
-        self.created = created or _dt.date(2013, 11, 12)
+        self.created = _dt.date(2013, 11, 12)
         self.collection: SoundCollection | None = None
         self.workflow: Workflow | None = None
         self.provenance: ProvenanceRepository | None = None

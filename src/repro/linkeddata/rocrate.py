@@ -83,7 +83,7 @@ def _refs(ids: list[str]) -> list[dict[str, str]]:
 
 
 def build_run_crate(repository: ProvenanceRepository,
-                    run_id: str, *, name: str | None = None) -> dict[str, Any]:
+                    run_id: str) -> dict[str, Any]:
     """One run's provenance as a Workflow Run RO-Crate JSON-LD dict."""
     if not repository.has_run(run_id):
         raise ReproError(f"run {run_id!r} is not in the repository")
@@ -113,7 +113,7 @@ def build_run_crate(repository: ProvenanceRepository,
         "hasPart": [_ref(workflow_id)],
         "mainEntity": _ref(workflow_id),
         "mentions": _ref(run_action_id),
-        "name": name or f"Workflow run {run_id}",
+        "name": f"Workflow run {run_id}",
     })
 
     # --- the method: workflow + one step per processor -----------------
@@ -264,8 +264,8 @@ def build_run_crate(repository: ProvenanceRepository,
     }
 
 
-def crate_to_json(crate: dict[str, Any], indent: int | None = 2) -> str:
-    return json.dumps(crate, indent=indent, sort_keys=True)
+def crate_to_json(crate: dict[str, Any]) -> str:
+    return json.dumps(crate, indent=2, sort_keys=True)
 
 
 def cached_actions(crate: dict[str, Any]) -> dict[str, str]:

@@ -192,7 +192,6 @@ _AUTHOR_POOL = (
 
 def generate_publications(catalogue: CatalogueOfLife, count: int = 40,
                           first_year: int = 1985, last_year: int = 2013,
-                          species_pool: list[str] | None = None,
                           seed: int = 2013) -> list[Publication]:
     """Synthetic publications citing species by era-correct names.
 
@@ -202,8 +201,7 @@ def generate_publications(catalogue: CatalogueOfLife, count: int = 40,
     miss links.
     """
     rng = random.Random(seed)
-    if species_pool is None:
-        species_pool = catalogue.as_of(first_year).species_names()
+    species_pool = catalogue.as_of(first_year).species_names()
     publications: list[Publication] = []
     for index in range(count):
         year = rng.randint(first_year, last_year)

@@ -35,9 +35,8 @@ def _observed_at(record: SoundRecord) -> _dt.datetime | None:
     return _dt.datetime(date.year, date.month, date.day, hour, minute)
 
 
-def observation_from_sound_record(record: SoundRecord,
-                                  source: str = "fnjv") -> Observation:
-    """One recording as a taxon observation."""
+def observation_from_sound_record(record: SoundRecord) -> Observation:
+    """One recording as a taxon observation (source ``fnjv``)."""
     if record.species is None:
         raise ReproError(
             f"record {record.record_id} has no species; cannot form a "
@@ -62,14 +61,14 @@ def observation_from_sound_record(record: SoundRecord,
         measurements.append(Measurement(
             "atmospheric_conditions", record.atmospheric_conditions))
     return Observation(
-        f"{source}/rec/{record.record_id}",
+        f"fnjv/rec/{record.record_id}",
         Entity("taxon", record.species),
         measurements=measurements,
         observed_at=_observed_at(record),
         latitude=record.latitude,
         longitude=record.longitude,
         observer=record.recordist or "",
-        source=source,
+        source="fnjv",
     )
 
 
@@ -77,9 +76,8 @@ def observation_from_row(row: Mapping[str, Any], obs_id: str,
                          entity_kind: str, entity_column: str,
                          measurement_columns: Mapping[str, str],
                          source: str,
-                         observed_at_column: str | None = None,
-                         latitude_column: str | None = None,
-                         longitude_column: str | None = None) -> Observation:
+                         observed_at_column: str | None = None
+                         ) -> Observation:
     """A generic tabular row as an observation.
 
     ``measurement_columns`` maps ``column name -> unit`` (empty unit for
@@ -103,7 +101,5 @@ def observation_from_row(row: Mapping[str, Any], obs_id: str,
         Entity(entity_kind, str(entity_name)),
         measurements=measurements,
         observed_at=observed_at,
-        latitude=row.get(latitude_column) if latitude_column else None,
-        longitude=row.get(longitude_column) if longitude_column else None,
         source=source,
     )

@@ -115,9 +115,6 @@ class Observation:
     def characteristics(self) -> list[str]:
         return [m.characteristic for m in self.measurements]
 
-    def add_measurement(self, measurement: Measurement) -> None:
-        self.measurements.append(measurement)
-
     def add_context(self, obs_id: str) -> None:
         if obs_id == self.obs_id:
             raise ReproError("an observation cannot be its own context")

@@ -202,18 +202,13 @@ class ObservationStore:
     # cross-source queries
     # ------------------------------------------------------------------
 
-    def values_of(self, characteristic: str,
-                  numeric_only: bool = True) -> list[Any]:
-        """Every stored value of one characteristic, across sources."""
+    def values_of(self, characteristic: str) -> list[Any]:
+        """Every stored numeric value of one characteristic, across
+        sources."""
         rows = self.database.query(_MEAS).where(
             col("characteristic") == characteristic).all()
-        values = []
-        for row in rows:
-            if row["value_num"] is not None:
-                values.append(row["value_num"])
-            elif not numeric_only and row["value_text"] is not None:
-                values.append(row["value_text"])
-        return values
+        return [row["value_num"] for row in rows
+                if row["value_num"] is not None]
 
     def observations_where(self, characteristic: str, low: float,
                            high: float) -> list[str]:

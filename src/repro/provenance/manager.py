@@ -41,18 +41,17 @@ class ProvenanceManager:
     repository:
         Where graphs and traces are persisted.  A fresh in-memory
         repository is created when omitted.
-    agent_id:
-        The OPM agent controlling the runs (defaults to the generic
-        engine operator).
     """
 
-    def __init__(self, repository: ProvenanceRepository | None = None,
-                 agent_id: str = "agent/workflow-engine") -> None:
+    #: the OPM agent controlling the runs: the generic engine operator
+    agent_id = "agent/workflow-engine"
+
+    def __init__(self,
+                 repository: ProvenanceRepository | None = None) -> None:
         # `is not None`, not `or`: an *empty* repository is falsy
         # (it has __len__) but must still be used, not replaced.
         self.repository = (repository if repository is not None
                            else ProvenanceRepository())
-        self.agent_id = agent_id
         self._workflows: dict[str, Workflow] = {}
 
     # ------------------------------------------------------------------

@@ -291,14 +291,11 @@ class OPMGraph:
                 continue
             yield edge
 
-    def edges_to(self, cause: str, kind: str | None = None) -> Iterator[Edge]:
+    def edges_to(self, cause: str) -> Iterator[Edge]:
         """Edges whose *cause* end is ``cause`` (i.e. its effects)."""
         for edge in self._edges:
-            if edge.cause != cause:
-                continue
-            if kind is not None and edge.kind != kind:
-                continue
-            yield edge
+            if edge.cause == cause:
+                yield edge
 
     # -- accounts ----------------------------------------------------------
 

@@ -198,12 +198,9 @@ class ProvenanceRepository:
         return self.database.find(_RUNS, run_id) is not None
 
     def run_count(self) -> int:
-        """How many runs are archived — read from the store manifest,
+        """How many runs are archived — read from the store's counters,
         so no table scan is needed."""
-        counts = self.store.manifest_counts()
-        if "runs_total" in counts:
-            return int(counts["runs_total"])
-        return self.database.count(_RUNS)
+        return self.store.run_count()
 
     def runs_for_artifact(self, artifact_id: str) -> list[str]:
         """Every run whose OPM graph mentions ``artifact_id``, served by

@@ -29,11 +29,9 @@ class StringPool:
 
     __slots__ = ("_strings", "_sids")
 
-    def __init__(self, strings: Iterable[str] = ()) -> None:
+    def __init__(self) -> None:
         self._strings: list[str] = []
         self._sids: dict[str, int] = {}
-        for text in strings:
-            self.intern(text)
 
     def __len__(self) -> int:
         return len(self._strings)

@@ -8,9 +8,9 @@ memory" with a compact, queryable archive:
   **sealed** into immutable columnar segments with CSR adjacency
   (:mod:`~repro.provenance.store.columnar`),
 * sealed segments persisted through the existing storage engine — one
-  row per segment in ``provstore_segments``, counts in the
-  ``provstore_manifest`` table so "how many runs are archived" never
-  requires a scan,
+  row per segment in ``provstore_segments``; the counts ("how many runs
+  are archived") live in memory, recomputed from the sealed segments on
+  attach, so they never require a scan,
 * lineage answered by bounded frontier walks
   (:mod:`~repro.provenance.store.queries`).
 
@@ -54,7 +54,6 @@ __all__ = ["ProvenanceStore", "DEFAULT_RUNS_PER_SEGMENT"]
 DEFAULT_RUNS_PER_SEGMENT = 256
 
 _SEGMENTS = "provstore_segments"
-_MANIFEST = "provstore_manifest"
 
 _ARTIFACT = KIND_CODES["artifact"]
 _VAULT_PREFIX = "cas:"
@@ -66,26 +65,26 @@ class ProvenanceStore:
     Parameters
     ----------
     database:
-        Storage engine holding the segment and manifest tables; a
-        fresh in-memory database when omitted.  Pre-existing sealed
-        segments are loaded (in seal order) on attach.
+        Storage engine holding the segment table; a fresh in-memory
+        database when omitted.  Pre-existing sealed segments are loaded
+        (in seal order) on attach.
     runs_per_segment:
         Tail size that triggers an automatic :meth:`seal`.
-    telemetry:
-        Metrics sink; the process-wide default when omitted.
+
+    Writers (:meth:`ingest_graph`, :meth:`seal`) hold the database's
+    write lock, so concurrent ingests never seal one tail twice.
+    Metrics go to the process-wide telemetry sink.
     """
 
     def __init__(self, database: Database | None = None,
-                 runs_per_segment: int = DEFAULT_RUNS_PER_SEGMENT,
-                 telemetry: Any | None = None) -> None:
+                 runs_per_segment: int = DEFAULT_RUNS_PER_SEGMENT) -> None:
         if runs_per_segment < 1:
             raise ProvenanceError("runs_per_segment must be >= 1")
+        from repro.telemetry import get_telemetry
+
         self.database = database or Database("provenance_store")
         self.runs_per_segment = runs_per_segment
-        if telemetry is None:
-            from repro.telemetry import get_telemetry
-            telemetry = get_telemetry()
-        self.telemetry = telemetry
+        self.telemetry = get_telemetry()
         self.pool = StringPool()
         self.segments: list[SealedSegment] = []
         #: node kind per sid (-1 = the sid is not a node id)
@@ -94,16 +93,16 @@ class ProvenanceStore:
         self._runs_sealed = 0
         self._nodes_total = 0
         self._edges_total = 0
-        self._ensure_tables()
+        self._ensure_table()
         self._load_segments()
         self.tail = SegmentBuilder(self._next_segment_id(), self.pool)
-        self._write_manifest()
+        self._publish_gauges()
 
     # ------------------------------------------------------------------
     # persistence plumbing
     # ------------------------------------------------------------------
 
-    def _ensure_tables(self) -> None:
+    def _ensure_table(self) -> None:
         if not self.database.has_table(_SEGMENTS):
             self.database.create_table(TableSchema(_SEGMENTS, [
                 Column("seq", ct.INTEGER),
@@ -113,11 +112,6 @@ class ProvenanceStore:
                 Column("edges", ct.INTEGER, nullable=False),
                 Column("payload", ct.JSON, nullable=False),
             ], primary_key="seq"))
-        if not self.database.has_table(_MANIFEST):
-            self.database.create_table(TableSchema(_MANIFEST, [
-                Column("key", ct.TEXT),
-                Column("value", ct.INTEGER, nullable=False),
-            ], primary_key="key"))
 
     def _load_segments(self) -> None:
         rows = self.database.query(_SEGMENTS).order_by("seq").all()
@@ -146,35 +140,24 @@ class ProvenanceStore:
     def _next_segment_id(self) -> str:
         return f"seg-{len(self.segments) + 1:05d}"
 
-    def _manifest_set(self, key: str, value: int) -> None:
-        existing = self.database.find(_MANIFEST, key)
-        if existing is None or existing["value"] != int(value):
-            self.database.upsert(_MANIFEST, {"key": key,
-                                             "value": int(value)})
+    def _publish_gauges(self) -> None:
+        metrics = self.telemetry.metrics
+        metrics.gauge("provstore_pool_strings").set(len(self.pool))
+        metrics.gauge("provstore_tail_runs").set(self.tail.n_runs)
+        metrics.gauge("provstore_sealed_segments").set(len(self.segments))
 
-    def _write_manifest(self) -> None:
-        counts = {
+    def manifest_counts(self) -> dict[str, int]:
+        """The archive's counters — the O(1) answer to "how big is the
+        archive" that replaces scanning the runs table."""
+        return {
             "runs_total": len(self._run_sids),
             "runs_sealed": self._runs_sealed,
-            "runs_tail": self.tail.n_runs if hasattr(self, "tail") else 0,
+            "runs_tail": self.tail.n_runs,
             "segments_sealed": len(self.segments),
             "nodes_total": self._nodes_total,
             "edges_total": self._edges_total,
             "pool_size": len(self.pool),
         }
-        for key, value in counts.items():
-            self._manifest_set(key, value)
-        metrics = self.telemetry.metrics
-        metrics.gauge("provstore_pool_strings").set(len(self.pool))
-        metrics.gauge("provstore_tail_runs").set(counts["runs_tail"])
-        metrics.gauge("provstore_sealed_segments").set(
-            counts["segments_sealed"])
-
-    def manifest_counts(self) -> dict[str, int]:
-        """The persisted counters — the O(1) answer to "how big is the
-        archive" that replaces scanning the runs table."""
-        return {row["key"]: row["value"]
-                for row in self.database.query(_MANIFEST).all()}
 
     # ------------------------------------------------------------------
     # ingest
@@ -196,25 +179,26 @@ class ProvenanceStore:
         the latest full graph.
         """
         metrics = self.telemetry.metrics
-        if self.has_run(run_id):
-            metrics.counter("provstore_reingest_skipped_total").inc()
-            return False
-        nodes, edges = self.tail.add_graph(run_id, graph)
-        self._grow_kinds()
-        for node in graph.nodes():
-            sid = self.pool.get(node.id)
-            if sid is not None:
-                self._kinds[sid] = KIND_CODES[node.kind]
-        self._run_sids.add(self.pool.intern(run_id))
-        self._nodes_total += nodes
-        self._edges_total += edges
-        metrics.counter("provstore_runs_ingested_total").inc()
-        metrics.counter("provstore_nodes_ingested_total").inc(nodes)
-        metrics.counter("provstore_edges_ingested_total").inc(edges)
-        if self.tail.n_runs >= self.runs_per_segment:
-            self.seal()
-        else:
-            self._write_manifest()
+        with self.database.exclusive():
+            if self.has_run(run_id):
+                metrics.counter("provstore_reingest_skipped_total").inc()
+                return False
+            nodes, edges = self.tail.add_graph(run_id, graph)
+            self._grow_kinds()
+            for node in graph.nodes():
+                sid = self.pool.get(node.id)
+                if sid is not None:
+                    self._kinds[sid] = KIND_CODES[node.kind]
+            self._run_sids.add(self.pool.intern(run_id))
+            self._nodes_total += nodes
+            self._edges_total += edges
+            metrics.counter("provstore_runs_ingested_total").inc()
+            metrics.counter("provstore_nodes_ingested_total").inc(nodes)
+            metrics.counter("provstore_edges_ingested_total").inc(edges)
+            if self.tail.n_runs >= self.runs_per_segment:
+                self.seal()
+            else:
+                self._publish_gauges()
         return True
 
     def ingest_repository_rows(self, rows: Iterable[tuple[str, OPMGraph]]
@@ -231,27 +215,28 @@ class ProvenanceStore:
     def seal(self) -> str | None:
         """Seal the active tail into an immutable persisted segment.
         Returns the new segment id, or ``None`` for an empty tail."""
-        if self.tail.n_runs == 0:
-            return None
-        segment = self.tail.seal()
-        # persisted as one compact JSON string: a text blob is ~8x
-        # lighter in-process than the equivalent dict of int lists
-        payload = json.dumps(segment.to_payload(self.pool),
-                             separators=(",", ":"))
-        self.database.insert(_SEGMENTS, {
-            "seq": len(self.segments) + 1,
-            "segment_id": segment.segment_id,
-            "runs": segment.n_runs,
-            "nodes": segment.n_nodes,
-            "edges": segment.n_edges,
-            "payload": payload,
-        })
-        self.segments.append(segment)
-        self._runs_sealed += segment.n_runs
-        self.tail = SegmentBuilder(self._next_segment_id(), self.pool)
-        self.telemetry.metrics.counter(
-            "provstore_segments_sealed_total").inc()
-        self._write_manifest()
+        with self.database.exclusive():
+            if self.tail.n_runs == 0:
+                return None
+            segment = self.tail.seal()
+            # persisted as one compact JSON string: a text blob is ~8x
+            # lighter in-process than the equivalent dict of int lists
+            payload = json.dumps(segment.to_payload(self.pool),
+                                 separators=(",", ":"))
+            self.database.insert(_SEGMENTS, {
+                "seq": len(self.segments) + 1,
+                "segment_id": segment.segment_id,
+                "runs": segment.n_runs,
+                "nodes": segment.n_nodes,
+                "edges": segment.n_edges,
+                "payload": payload,
+            })
+            self.segments.append(segment)
+            self._runs_sealed += segment.n_runs
+            self.tail = SegmentBuilder(self._next_segment_id(), self.pool)
+            self.telemetry.metrics.counter(
+                "provstore_segments_sealed_total").inc()
+            self._publish_gauges()
         return segment.segment_id
 
     # ------------------------------------------------------------------
@@ -345,18 +330,16 @@ class ProvenanceStore:
             run_sids.update(segment.runs_of(sid))
         return sorted(self.pool.lookup(s) for s in run_sids)
 
-    def derived_objects(self, run_id: str,
-                        budget: TraversalBudget | None = None
-                        ) -> dict[str, Any]:
+    def derived_objects(self, run_id: str) -> dict[str, Any]:
         """Which preserved vault objects derive from run ``run_id``.
 
-        Walks cause -> effect from every artifact the run touched and
-        keeps reachable artifacts addressed in the vault's content
-        namespace (``cas:`` digests) — including the run's own
-        artifacts when they are vault objects themselves.
+        Walks cause -> effect, within the default traversal budget,
+        from every artifact the run touched and keeps reachable
+        artifacts addressed in the vault's content namespace (``cas:``
+        digests) — including the run's own artifacts when they are
+        vault objects themselves.
         """
         self._count_query("derived_objects")
-        budget = budget or TraversalBudget()
         run_sid = self.pool.get(run_id)
         if run_sid is None or run_sid not in self._run_sids:
             raise ProvenanceError(f"run {run_id!r} is not archived")
@@ -369,7 +352,7 @@ class ProvenanceStore:
         seen, truncated, __, __depth = frontier_walk(
             self._query_segments(), start_sids,
             codes=resolve_edge_codes(None), forward=False,
-            budget=budget)
+            budget=TraversalBudget())
         if truncated:
             self.telemetry.metrics.counter(
                 "provstore_truncations_total").inc()

@@ -31,7 +31,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Any, Callable, Mapping, Sequence
+from typing import Any, Mapping, Sequence
 
 from repro.errors import (
     AdmissionRejectedError,
@@ -72,8 +72,7 @@ class PreservationService:
 
     def __init__(self, database: Database, *, vault: Any | None = None,
                  config: ServiceConfig | None = None,
-                 telemetry: Telemetry | None = None,
-                 clock: Callable[[], float] | None = None) -> None:
+                 telemetry: Telemetry | None = None) -> None:
         self._database = database
         self._vault = vault
         self.config = config or ServiceConfig()
@@ -85,8 +84,7 @@ class PreservationService:
             telemetry=self._telemetry,
         )
         self.quotas = QuotaRegistry(
-            default=self.config.default_quota, clock=clock,
-            telemetry=self._telemetry,
+            default=self.config.default_quota, telemetry=self._telemetry,
         )
 
     def __repr__(self) -> str:

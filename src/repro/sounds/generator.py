@@ -156,9 +156,6 @@ class GroundTruth:
             return 1.0
         return 1.0 - len(self.outdated_species) / total
 
-    def all_species_names(self) -> list[str]:
-        return sorted(self.accepted_species)
-
 
 def _zipf_allocation(n_items: int, total: int, exponent: float,
                      rng: random.Random) -> list[int]:

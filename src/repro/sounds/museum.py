@@ -35,8 +35,8 @@ _COLLECTORS = ("E. Kraus", "M. Prado", "H. Siqueira", "T. Ueda",
                "V. Braga", "A. Cunha")
 
 
-def museum_schema(table_name: str = MUSEUM_TABLE) -> TableSchema:
-    return TableSchema(table_name, [
+def museum_schema() -> TableSchema:
+    return TableSchema(MUSEUM_TABLE, [
         Column("catalog_number", ct.TEXT),
         Column("species", ct.TEXT),
         Column("collect_date", ct.DATE),
@@ -59,18 +59,16 @@ def museum_schema(table_name: str = MUSEUM_TABLE) -> TableSchema:
 def generate_museum_collection(catalogue: CatalogueOfLife,
                                n_specimens: int = 400,
                                seed: int = 2013,
-                               gazetteer: Gazetteer | None = None,
-                               database: Database | None = None,
-                               species_pool: list[str] | None = None) -> Database:
-    """A seeded specimen table; returns its database."""
+                               database: Database | None = None) -> Database:
+    """A seeded specimen table over the catalogue's names (outdated ones
+    included) and the seed's gazetteer; returns its database."""
     rng = random.Random(seed)
-    gazetteer = gazetteer or Gazetteer(seed=seed)
+    gazetteer = Gazetteer(seed=seed)
     database = database or Database("museum")
     if not database.has_table(MUSEUM_TABLE):
         database.create_table(museum_schema())
         database.create_index(MUSEUM_TABLE, "species", "hash")
-    if species_pool is None:
-        species_pool = catalogue.species_names(include_outdated=True)
+    species_pool = catalogue.species_names(include_outdated=True)
     states = gazetteer.states("Brasil")
     for index in range(1, n_specimens + 1):
         species = rng.choice(species_pool)
@@ -101,9 +99,8 @@ def generate_museum_collection(catalogue: CatalogueOfLife,
     return database
 
 
-def museum_observation(row: dict[str, Any],
-                       source: str = "museum") -> Observation:
-    """One specimen row as a taxon observation."""
+def museum_observation(row: dict[str, Any]) -> Observation:
+    """One specimen row as a taxon observation (source ``museum``)."""
     measurements = [
         Measurement("specimen_collected", True),
         Measurement("preparation", row["preparation"]),
@@ -120,12 +117,12 @@ def museum_observation(row: dict[str, Any],
     if date is not None:
         observed_at = _dt.datetime(date.year, date.month, date.day)
     return Observation(
-        f"{source}/{row['catalog_number']}",
+        f"museum/{row['catalog_number']}",
         Entity("taxon", row["species"]),
         measurements=measurements,
         observed_at=observed_at,
         latitude=row.get("latitude"),
         longitude=row.get("longitude"),
         observer=row.get("collector") or "",
-        source=source,
+        source="museum",
     )

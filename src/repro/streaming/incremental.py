@@ -120,7 +120,7 @@ class IncrementalCurator:
     ----------
     database:
         The collection's database (original table is never mutated;
-        verdicts land in ``review_table``).
+        verdicts land in :data:`REVIEW_TABLE`).
     resolver:
         ``name -> {"status", "accepted_name", "suggestion"}`` against
         the external authority (see :func:`catalogue_resolver`).  The
@@ -149,9 +149,7 @@ class IncrementalCurator:
                  resource_versions: Mapping[str, Any] | None = None,
                  cache: ResultCache | None = None,
                  provenance: ProvenanceManager | None = None,
-                 telemetry: Telemetry | None = None,
-                 max_workers: int = 1,
-                 review_table: str = REVIEW_TABLE) -> None:
+                 telemetry: Telemetry | None = None) -> None:
         if shard_size < 1:
             raise ValueError("IncrementalCurator needs shard_size >= 1")
         self.database = database
@@ -160,12 +158,10 @@ class IncrementalCurator:
         self.name_field = name_field
         self.quality_fields = tuple(quality_fields)
         self.shard_size = shard_size
-        self.review_table = review_table
         self.telemetry = telemetry or get_telemetry()
         self.cache = cache if cache is not None else ResultCache(
             max_entries=4096)
         self.engine = WorkflowEngine(telemetry=self.telemetry,
-                                     max_workers=max_workers,
                                      cache=self.cache)
         self.provenance = provenance or ProvenanceManager()
         self.provenance.attach(self.engine)
@@ -188,8 +184,8 @@ class IncrementalCurator:
     # ------------------------------------------------------------------
 
     def _ensure_review_table(self) -> None:
-        if not self.database.has_table(self.review_table):
-            self.database.create_table(TableSchema(self.review_table, [
+        if not self.database.has_table(REVIEW_TABLE):
+            self.database.create_table(TableSchema(REVIEW_TABLE, [
                 Column("record_id", ct.INTEGER),
                 Column("old_name", ct.TEXT),
                 Column("new_name", ct.TEXT),
@@ -197,9 +193,9 @@ class IncrementalCurator:
                 Column("shard", ct.TEXT, nullable=False),
                 Column("status", ct.TEXT, default="flagged"),
             ], primary_key="record_id"))
-            self.database.create_index(self.review_table, "shard", "hash")
+            self.database.create_index(REVIEW_TABLE, "shard", "hash")
         # each sweep replaces a shard's slice by record id range
-        self.database.create_index(self.review_table, "record_id", "sorted")
+        self.database.create_index(REVIEW_TABLE, "record_id", "sorted")
 
     def _register_kinds(self) -> None:
         registry = self.engine.registry
@@ -438,11 +434,11 @@ class IncrementalCurator:
         """Replace the shard's slice of the review queue."""
         low, high = self._shard_bounds(index)
         self.database.delete_where(
-            self.review_table,
+            REVIEW_TABLE,
             col("record_id").between(low, high))
         if updates:
             shard_key = self._shard_key(index)
-            self.database.bulk_load(self.review_table, [
+            self.database.bulk_load(REVIEW_TABLE, [
                 {
                     "record_id": update["record_id"],
                     "old_name": update["old_name"],
@@ -538,7 +534,7 @@ class IncrementalCurator:
         }
 
     def _review_rows(self) -> list[dict[str, Any]]:
-        return self.database.query(self.review_table).order_by(
+        return self.database.query(REVIEW_TABLE).order_by(
             "record_id").all()
 
     # ------------------------------------------------------------------

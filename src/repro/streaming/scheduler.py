@@ -40,14 +40,12 @@ class RecheckScheduler:
 
     def __init__(self, clock: SimulatedClock | None = None,
                  interval_seconds: float = DEFAULT_INTERVAL_SECONDS,
-                 availability_threshold: float = DEAD_SERVICE_THRESHOLD,
                  telemetry: Telemetry | None = None) -> None:
         if interval_seconds <= 0:
             raise ValueError(
                 "RecheckScheduler needs interval_seconds > 0")
         self.clock = clock or SimulatedClock()
         self.interval_seconds = interval_seconds
-        self.availability_threshold = availability_threshold
         self.telemetry = telemetry or get_telemetry()
         self._assessed_at: dict[str, _dt.datetime] = {}
         #: subject -> first reason it became due (first wins: the
@@ -61,10 +59,10 @@ class RecheckScheduler:
     # bookkeeping
     # ------------------------------------------------------------------
 
-    def note_assessed(self, subject: str,
-                      at: _dt.datetime | None = None) -> None:
-        """Record a completed assessment; clears any queued recheck."""
-        self._assessed_at[subject] = at or self.clock.now()
+    def note_assessed(self, subject: str) -> None:
+        """Record a completed assessment (now, on the scheduler's clock);
+        clears any queued recheck."""
+        self._assessed_at[subject] = self.clock.now()
         self._queue.pop(subject, None)
 
     def forget(self, subject: str) -> None:
@@ -73,9 +71,6 @@ class RecheckScheduler:
 
     def subjects(self) -> list[str]:
         return sorted(self._assessed_at)
-
-    def assessed_at(self, subject: str) -> _dt.datetime | None:
-        return self._assessed_at.get(subject)
 
     # ------------------------------------------------------------------
     # triggers
@@ -93,9 +88,9 @@ class RecheckScheduler:
 
     def observe_availability(self, service: str,
                              availability: float) -> list[str]:
-        """Feed a measured availability; a collapse below the threshold
-        re-enqueues every tracked subject."""
-        if availability >= self.availability_threshold:
+        """Feed a measured availability; a collapse below the
+        dead-service threshold re-enqueues every tracked subject."""
+        if availability >= DEAD_SERVICE_THRESHOLD:
             return []
         enqueued = []
         for subject in sorted(self._assessed_at):
@@ -121,10 +116,11 @@ class RecheckScheduler:
     # consumption
     # ------------------------------------------------------------------
 
-    def due(self, now: _dt.datetime | None = None) -> dict[str, str]:
-        """Fold staleness into the queue and return ``subject ->
-        reason`` for everything currently due (sorted by subject)."""
-        moment = now or self.clock.now()
+    def due(self) -> dict[str, str]:
+        """Fold staleness (as of now, on the scheduler's clock) into
+        the queue and return ``subject -> reason`` for everything
+        currently due (sorted by subject)."""
+        moment = self.clock.now()
         horizon = _dt.timedelta(seconds=self.interval_seconds)
         for subject in sorted(self._assessed_at):
             if (subject not in self._queue
@@ -132,9 +128,9 @@ class RecheckScheduler:
                 self.enqueue(subject, "stale")
         return dict(sorted(self._queue.items()))
 
-    def pop_due(self, now: _dt.datetime | None = None) -> dict[str, str]:
-        """:meth:`due`, draining the queue."""
-        ready = self.due(now)
+    def pop_due(self) -> dict[str, str]:
+        """:meth:`due` now, draining the queue."""
+        ready = self.due()
         self._queue.clear()
         return ready
 
@@ -143,5 +139,5 @@ class RecheckScheduler:
             "tracked": len(self._assessed_at),
             "queued": len(self._queue),
             "interval_seconds": self.interval_seconds,
-            "availability_threshold": self.availability_threshold,
+            "availability_threshold": DEAD_SERVICE_THRESHOLD,
         }

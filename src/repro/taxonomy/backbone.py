@@ -15,7 +15,7 @@ so the case study can tell the exact story the paper tells.
 from __future__ import annotations
 
 import random
-from typing import Iterator, Mapping
+from typing import Mapping
 
 from repro.errors import TaxonomyError
 from repro.taxonomy.model import Rank, Taxon
@@ -128,10 +128,6 @@ class TaxonomicBackbone:
     def genus_names(self) -> list[str]:
         return sorted(self._genera_by_name)
 
-    def all_species(self) -> Iterator[Taxon]:
-        for name in self.species_names():
-            yield self._species_by_name[name]
-
     def species_count(self) -> int:
         return len(self._species_by_name)
 
@@ -145,13 +141,6 @@ class TaxonomicBackbone:
             return self._species_by_name[name]
         taxon = Taxon(self._next_id(), name, Rank.SPECIES, parent=genus)
         self._species_by_name[name] = taxon
-        return taxon
-
-    def register_genus(self, name: str, family: Taxon) -> Taxon:
-        if name in self._genera_by_name:
-            return self._genera_by_name[name]
-        taxon = Taxon(self._next_id(), name, Rank.GENUS, parent=family)
-        self._genera_by_name[name] = taxon
         return taxon
 
     def _next_id(self) -> int:

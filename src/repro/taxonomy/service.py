@@ -28,7 +28,7 @@ import random
 
 from repro.errors import ServiceUnavailableError
 from repro.taxonomy.catalogue import CatalogueOfLife, NameResolution
-from repro.telemetry import Telemetry, get_telemetry
+from repro.telemetry import get_telemetry
 
 __all__ = ["ServiceStats", "CatalogueService", "SERVICE_NAME"]
 
@@ -83,8 +83,8 @@ class CatalogueService:
         Simulated time lost to a failed call (timeouts are slower).
     seed:
         Seed for the fault process.
-    telemetry:
-        Observability sink; the process-wide default when omitted.
+
+    Calls are recorded in the process-wide telemetry sink.
     """
 
     def __init__(self, catalogue: CatalogueOfLife | None = None,
@@ -92,8 +92,7 @@ class CatalogueService:
                  reputation: float = 1.0,
                  latency_seconds: float = 0.012,
                  failure_latency_seconds: float = 0.05,
-                 seed: int = 2013,
-                 telemetry: Telemetry | None = None) -> None:
+                 seed: int = 2013) -> None:
         if not 0.0 <= availability <= 1.0:
             raise ValueError("availability must be within [0, 1]")
         if not 0.0 <= reputation <= 1.0:
@@ -104,7 +103,7 @@ class CatalogueService:
         self.latency_seconds = latency_seconds
         self.failure_latency_seconds = failure_latency_seconds
         self.stats = ServiceStats()
-        self.telemetry = telemetry or get_telemetry()
+        self.telemetry = get_telemetry()
         self._rng = random.Random(seed)
 
     def _record_call(self, outcome: str, latency: float) -> None:

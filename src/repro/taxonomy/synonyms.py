@@ -94,9 +94,6 @@ class SynonymRegistry:
         return iter(sorted(self._changes,
                            key=lambda c: (c.year, c.old_name)))
 
-    def changes_for(self, name: str) -> list[NameChange]:
-        return list(self._by_old.get(name, ()))
-
     def changed_names(self, as_of_year: int | None = None) -> set[str]:
         """Names that have at least one change published by ``as_of_year``."""
         result = set()
@@ -140,8 +137,7 @@ def generate_changes(backbone: TaxonomicBackbone,
                      start_year: int = 1990,
                      end_year: int = 2013,
                      yearly_rate: float = 0.004,
-                     seed: int | None = None,
-                     include_anchor: bool = True) -> SynonymRegistry:
+                     seed: int | None = None) -> SynonymRegistry:
     """Simulate taxonomy evolution over ``[start_year, end_year]``.
 
     Each year, ``yearly_rate`` of the *currently accepted* species names
@@ -150,14 +146,16 @@ def generate_changes(backbone: TaxonomicBackbone,
     the collection samples names non-uniformly.
 
     Genus transfers and splits register the new binomial in the backbone
-    so later changes can chain onto it.
+    so later changes can chain onto it.  The paper's own rename
+    (:data:`ANCHOR_CHANGE`) is registered first whenever its species is
+    in the backbone.
     """
     rng = random.Random(backbone.config.seed if seed is None else seed)
     registry = SynonymRegistry()
     accepted = set(backbone.species_names())
     retired: set[str] = set()
 
-    if include_anchor and ANCHOR_CHANGE[0] in accepted:
+    if ANCHOR_CHANGE[0] in accepted:
         old, new, year, reason, reference = ANCHOR_CHANGE
         registry.add(NameChange(old, new, year, reason, reference))
         retired.add(old)

@@ -46,14 +46,15 @@ __all__ = [
 
 
 class Telemetry:
-    """One registry + one tracer + one event log, snapshot together."""
+    """One registry + one tracer + one event log, snapshot together.
 
-    def __init__(self, clock: Any | None = None,
-                 max_spans: int = 10_000,
-                 max_events: int = 10_000) -> None:
+    The tracer's default clock is wall time; instrumented engines pass
+    their simulated clock per span."""
+
+    def __init__(self) -> None:
         self.metrics = MetricsRegistry()
-        self.tracer = Tracer(clock, max_spans=max_spans)
-        self.events = EventLog(max_events=max_events)
+        self.tracer = Tracer()
+        self.events = EventLog()
 
     def attach(self, engine: Any) -> None:
         """Subscribe the event log to a workflow engine."""
@@ -69,9 +70,6 @@ class Telemetry:
 
     def render_report(self) -> str:
         return render_report(self.snapshot())
-
-    def quality_signals(self) -> dict[str, Any]:
-        return quality_signals(self.snapshot())
 
     def reset(self) -> None:
         """Zero metrics and clear spans/events, in place: instrument

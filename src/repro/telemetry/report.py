@@ -366,9 +366,7 @@ def quality_signals(snapshot: Mapping[str, Any]) -> dict[str, Any]:
     * ``measured_availability`` — per-service observed success fraction;
     * ``run_counts`` — runs by final status;
     * ``degraded_fraction`` / ``failure_fraction`` — of finished runs;
-    * ``processor_seconds`` — per-processor duration stats;
-    * ``last_run_finished`` — simulated finish time of the latest run
-      (the raw material for timeliness metrics).
+    * ``processor_seconds`` — per-processor duration stats.
     """
     metrics: Mapping[str, Any] = snapshot.get("metrics", {})
     signals: dict[str, Any] = {}
@@ -410,10 +408,4 @@ def quality_signals(snapshot: Mapping[str, Any]) -> dict[str, Any]:
             }
     if processor_seconds:
         signals["processor_seconds"] = processor_seconds
-
-    for entry in reversed(
-            snapshot.get("events", {}).get("events", ())):
-        if entry.get("event") == "run_finished" and entry.get("finished"):
-            signals["last_run_finished"] = entry["finished"]
-            break
     return signals

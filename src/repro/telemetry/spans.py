@@ -152,16 +152,16 @@ class Tracer:
             return _SpanHandle(self, span, clock)
 
     def record_span(self, name: str, duration_seconds: float,
-                    clock: Any | None = None,
                     **attributes: Any) -> Span:
-        """Record an already-elapsed leaf span under the active span.
+        """Record an already-elapsed leaf span under the active span,
+        on its clock.
 
         Used by components that know how long their (simulated) work
         took but do not drive the clock themselves, e.g. one catalogue
         web-service call inside a processor span.
         """
         with self._lock:
-            clock = clock or self._active_clock()
+            clock = self._active_clock()
             parent = self._stack[-1][0].span_id if self._stack else None
             finished = clock.now()
             started = finished - _dt.timedelta(

@@ -125,11 +125,9 @@ class AnnotationAssertion:
 
     @classmethod
     def from_quality(cls, values: Mapping[str, float],
-                     date: _dt.datetime | None = None,
                      creator: str = "") -> "AnnotationAssertion":
         """Build an assertion whose text is rendered quality statements."""
-        return cls(QualityAnnotation(values).to_text(), date=date,
-                   creator=creator)
+        return cls(QualityAnnotation(values).to_text(), creator=creator)
 
     def to_dict(self) -> dict[str, Any]:
         return {

@@ -56,7 +56,7 @@ from typing import Any, Callable, Mapping
 
 from repro.errors import WorkflowExecutionError, WorkflowValidationError
 from repro.workflow.cache import CachedResult, ResultCache, invocation_key
-from repro.workflow.model import Processor, ProcessorRegistry, Workflow
+from repro.workflow.model import Processor, Workflow
 from repro.workflow.trace import ProcessorRun, WorkflowTrace
 
 __all__ = ["SimulatedClock", "RunResult", "WorkflowEngine"]
@@ -67,9 +67,13 @@ __all__ = ["SimulatedClock", "RunResult", "WorkflowEngine"]
 DEFAULT_EPOCH = _dt.datetime(2013, 11, 12, 19, 58, 9,
                              tzinfo=_dt.timezone.utc)
 
+#: simulated duration charged to a processor that does not report its own
+DEFAULT_STEP_SECONDS = 0.1
+
 
 class SimulatedClock:
-    """A deterministic, thread-safe clock.
+    """A deterministic, thread-safe clock starting at
+    :data:`DEFAULT_EPOCH`.
 
     ``now()`` returns the current simulated instant; ``advance(seconds)``
     moves it forward.  Processors that model expensive work (e.g. the
@@ -79,8 +83,8 @@ class SimulatedClock:
     worker threads read it while the scheduler advances it.
     """
 
-    def __init__(self, epoch: _dt.datetime = DEFAULT_EPOCH) -> None:
-        self._now = epoch
+    def __init__(self) -> None:
+        self._now = DEFAULT_EPOCH
         self._lock = threading.Lock()
 
     def now(self) -> _dt.datetime:
@@ -172,16 +176,15 @@ class _Invocation:
 class WorkflowEngine:
     """Executes workflows against a processor registry.
 
+    Processor kinds map to implementations through :attr:`registry`,
+    a copy of the builtin registry (:mod:`repro.workflow.builtins`) that
+    callers may register more kinds on.  A processor that does not
+    report its own duration is charged :data:`DEFAULT_STEP_SECONDS`.
+
     Parameters
     ----------
-    registry:
-        Maps processor kinds to implementations.  Defaults to a copy of
-        the builtin registry (:mod:`repro.workflow.builtins`).
     clock:
         Simulated time source shared by all runs of this engine.
-    default_step_seconds:
-        Simulated duration charged to a processor that does not report
-        its own duration.
     telemetry:
         Observability sink (metrics + spans + events).  Defaults to the
         process-wide instance from
@@ -197,21 +200,16 @@ class WorkflowEngine:
         replayed on identical re-invocations (see the module docstring).
     """
 
-    def __init__(self, registry: ProcessorRegistry | None = None,
-                 clock: SimulatedClock | None = None,
-                 default_step_seconds: float = 0.1,
+    def __init__(self, clock: SimulatedClock | None = None,
                  telemetry: "Telemetry | None" = None,
                  max_workers: int = 1,
                  cache: ResultCache | None = None) -> None:
-        if registry is None:
-            from repro.workflow.builtins import builtin_registry
-            registry = builtin_registry().copy()
         from repro.telemetry import get_telemetry
+        from repro.workflow.builtins import builtin_registry
         if max_workers < 1:
             raise ValueError("max_workers must be >= 1")
-        self.registry = registry
+        self.registry = builtin_registry().copy()
         self.clock = clock or SimulatedClock()
-        self.default_step_seconds = default_step_seconds
         self.telemetry = telemetry or get_telemetry()
         self.max_workers = max_workers
         self.cache = cache
@@ -412,7 +410,7 @@ class WorkflowEngine:
             invocation.error = f"{type(exc).__name__}: {exc}"
             invocation.error_exc = exc
             invocation.outputs = {}
-            invocation.duration = self.default_step_seconds
+            invocation.duration = DEFAULT_STEP_SECONDS
         return invocation
 
     def _commit(self, workflow: Workflow, processor: Processor,
@@ -434,7 +432,7 @@ class WorkflowEngine:
                 workflow=workflow.name, processor=processor.name,
             ).inc()
             if not processor.config.get("allow_failure", False):
-                finished = self.clock.advance(self.default_step_seconds)
+                finished = self.clock.advance(DEFAULT_STEP_SECONDS)
                 trace.record_run(ProcessorRun(
                     processor.name, processor.kind, started, finished,
                     status="failed", error=invocation.error,
@@ -495,11 +493,11 @@ class WorkflowEngine:
         ``allow_failure``) — never surfaced as a raw engine crash.
         """
         if not isinstance(raw, Mapping):
-            return {}, self.default_step_seconds
+            return {}, DEFAULT_STEP_SECONDS
         outputs = dict(raw)
         declared = outputs.pop("__duration__", None)
         if declared is None:
-            return outputs, self.default_step_seconds
+            return outputs, DEFAULT_STEP_SECONDS
         try:
             duration = float(declared)
         except (TypeError, ValueError):

@@ -1,6 +1,9 @@
 """The archival provenance store: interning, segments, queries,
 persistence and the repository wiring."""
 
+import datetime as dt
+import sys
+import threading
 import warnings
 
 import pytest
@@ -17,10 +20,12 @@ from repro.provenance.store import (
     StringPool,
     TraversalBudget,
 )
-from repro.storage import Database
+from repro.storage import Column, Database, TableSchema
+from repro.storage import column_types as ct
 from repro.workflow.cache import ResultCache
 from repro.workflow.engine import WorkflowEngine
 from repro.workflow.model import Processor, Workflow
+from repro.workflow.trace import WorkflowTrace
 
 
 def _graph(run_id: str, n_artifacts: int = 2,
@@ -307,3 +312,71 @@ class TestRepositoryIntegration:
         ro = ResearchObject("ro-1", "t", "c")
         ro.aggregate_run(repository, "run-0001")
         assert ro.run_ids == ["run-0001"]
+
+
+def _store_run(repository: ProvenanceRepository, run_id: str) -> None:
+    trace = WorkflowTrace(run_id, "w",
+                          dt.datetime(2013, 1, 1, tzinfo=dt.timezone.utc))
+    trace.finish(trace.started, "completed")
+    repository.store_run(trace, _graph(run_id))
+
+
+class TestStoreWriters:
+    def test_concurrent_store_runs_seal_one_segment_once(self):
+        # 320 runs cross the 256-run segment boundary while 8 threads
+        # write: exactly one of them may seal the tail
+        repository = ProvenanceRepository()
+        threads_n, runs_each = 8, 40
+        barrier = threading.Barrier(threads_n)
+        errors = []
+
+        def worker(worker_id):
+            try:
+                barrier.wait(timeout=30)
+                for n in range(runs_each):
+                    _store_run(repository, f"run-{worker_id}-{n}")
+            except Exception as exc:  # reported through the assert below
+                errors.append(exc)
+
+        previous = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=worker, args=(i,))
+                       for i in range(threads_n)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(previous)
+        assert not any(thread.is_alive() for thread in threads)
+        assert errors == []
+        assert len(repository) == threads_n * runs_each
+        assert repository.store.run_count() == threads_n * runs_each
+        seqs = repository.database.query("provstore_segments").values("seq")
+        assert len(seqs) == len(set(seqs)) == 1
+
+    def test_journal_with_the_old_manifest_table_still_attaches(
+            self, tmp_path):
+        journal = tmp_path / "provenance.journal"
+        database = Database("provenance", journal_path=journal)
+        repository = ProvenanceRepository(database)
+        for i in range(3):
+            _store_run(repository, f"r{i}")
+        repository.store.seal()
+        _store_run(repository, "r3")
+        expected = repository.store.manifest_counts()
+        # earlier versions also kept these counters in a table of their
+        # own, rewritten on every stored run
+        database.create_table(TableSchema("provstore_manifest", [
+            Column("key", ct.TEXT),
+            Column("value", ct.INTEGER, nullable=False),
+        ], primary_key="key"))
+        database.bulk_load("provstore_manifest", [
+            {"key": key, "value": value} for key, value in expected.items()])
+
+        recovered = Database.recover("provenance", journal)
+        assert recovered.has_table("provstore_manifest")
+        reattached = ProvenanceRepository(recovered)
+        assert reattached.store.manifest_counts() == expected
+        assert reattached.run_count() == 4
