@@ -26,6 +26,8 @@ COMMANDS = {
     "provenance_stats": ["provenance", "stats", "--json"],
     "provenance_lineage": ["provenance", "lineage", "--chain"],
     "vault_migrate": ["vault", "migrate", "--records", "60"],
+    "vault_status": ["vault", "status", "--records", "60"],
+    "stream_status": ["stream", "status"],
     "decay": ["decay"],
     "crossref": ["crossref"],
 }
