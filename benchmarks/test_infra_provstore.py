@@ -8,8 +8,8 @@ runs, and records the numbers in ``BENCH_provstore.json``:
 a. **artifact lookup** — "which runs mention this artifact" via the
    store's interned backward index vs probing every graph.  Floor: 5x
    (advisory on shared runners; ``REPRO_BENCH_STRICT=1`` enforces).
-b. **resident memory** — interned columnar segments (including their
-   persisted payload rows) vs 10 000 live object graphs.  Floor: 3x,
+b. **resident memory** — interned columnar segments (the sealed
+   arrays and the active tail) vs 10 000 live object graphs.  Floor: 3x,
    a relation between two tracemalloc measurements on the same
    interpreter, so it is always enforced.
 c. **bounded traversal** — a lineage query wired through a 10k-run

@@ -3,19 +3,20 @@
 Rules run on a :class:`StoreState` — a lenient, read-only snapshot of
 a :class:`~repro.provenance.store.ProvenanceStore`'s segments.  As
 with the graph rules, leniency is the point: the store itself cannot
-*construct* a dangling edge, but a segment payload restored from a
-damaged archive (or written by a future, buggier version) can carry
-one, and the linter describes the damage instead of crashing.
+*construct* a dangling edge, but a store document (damaged, truncated
+or written by a future, buggier version) can carry one, and the linter
+describes the damage instead of crashing.
 
 * **PR006** — an edge endpoint inside a segment references a string id
   that is not interned as a node anywhere in the store (corrupted or
-  truncated segment payload).
+  truncated store document).
 * **PR007** — a ``wasCachedFrom`` edge points at an originating
   process whose run was never archived: the replay chain exits the
   store and lineage queries dead-end.
 * **PR008** — the active tail holds at least ``runs_per_segment``
-  runs: auto-sealing did not fire, so recent provenance sits in the
-  non-persisted tail and is lost on crash.
+  runs: auto-sealing did not fire, so recent runs are not yet
+  compacted into a sealed segment (they stay durable as repository
+  rows).
 """
 
 from __future__ import annotations
@@ -89,10 +90,10 @@ class StoreState:
         segments: list[_SegmentView] = []
         node_kinds: dict[int, str] = {}
         names: dict[int, str] = {}
-        raw = list(store.segments)
-        if store.tail.n_runs:
-            raw.append(store.tail)
-        for segment in raw:
+        snapshot = store.snapshot()
+        for segment in snapshot:
+            if not segment.n_runs:
+                continue  # the empty active tail
             for sid, kind_code in zip(segment.node_sids,
                                       segment.node_kinds):
                 node_kinds[sid] = _KIND_NAMES.get(kind_code,
@@ -113,7 +114,7 @@ class StoreState:
                 set(segment.node_sids), edges,
             ))
         return cls(segments, node_kinds, names,
-                   tail_runs=store.tail.n_runs,
+                   tail_runs=snapshot[-1].n_runs,
                    runs_per_segment=store.runs_per_segment)
 
     @classmethod
@@ -186,10 +187,10 @@ def _dangling_segment_endpoint(self: Rule, state: StoreState,
                         _loc(state, segment, f"edge:{index}"),
                         f"{kind} edge {end} {state.name_of(sid)!r} is "
                         "not interned as a node anywhere in the store",
-                        suggestion="the segment payload is damaged or "
-                        "truncated; restore it from the repository "
-                        "rows (ProvenanceRepository re-syncs missing "
-                        "runs on attach)",
+                        suggestion="the store document is damaged or "
+                        "truncated; rebuild the index from the "
+                        "repository rows (ProvenanceRepository does "
+                        "so on attach)",
                     )
 
 
@@ -224,9 +225,9 @@ def _seal_overdue(self: Rule, state: StoreState,
             "store/tail",
             f"the active tail holds {state.tail_runs} runs but "
             f"segments seal at {state.runs_per_segment} — auto-"
-            "sealing did not run, so this provenance is not yet "
-            "persisted as a segment",
+            "sealing did not run, so these runs are not yet "
+            "compacted into a sealed segment",
             suggestion="call ProvenanceStore.seal() (or lower "
-            "runs_per_segment); tail runs survive only via "
-            "repository-row re-sync",
+            "runs_per_segment); the runs stay durable as repository "
+            "rows either way",
         )

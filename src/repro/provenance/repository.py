@@ -21,9 +21,9 @@ therefore adds no copy of it.  :meth:`ProvenanceRepository.trace_for` and
 :meth:`~ProvenanceRepository.workflow_for` rebuild the documents
 byte for byte, and still read rows written with the values inline.
 
-Every stored run is also ingested — transparently, on the same
-database — into the archival
-:class:`~repro.provenance.store.ProvenanceStore`, so cross-run lineage
+Every stored run is also ingested into the archival
+:class:`~repro.provenance.store.ProvenanceStore`, an in-memory index
+rebuilt from the run rows on attach, so cross-run lineage
 (``ancestors``/``descendants`` of an artifact, cache-replay chains,
 "which vault objects derive from run X") is answered by interned
 columnar indexes instead of re-parsing every graph.
@@ -94,7 +94,7 @@ class ProvenanceRepository:
     database:
         Storage engine; a fresh in-memory one when omitted.  The
         archival :class:`~repro.provenance.store.ProvenanceStore`
-        (``self.store``) always lives on the same database.
+        (``self.store``) indexes the runs already on it.
     """
 
     def __init__(self, database: Database | None = None) -> None:
@@ -116,22 +116,20 @@ class ProvenanceRepository:
                 Column("workflow", ct.TEXT),
             ], primary_key="run_id"))
             self.database.create_index(_RUNS, "workflow_name", "hash")
-        self.store = ProvenanceStore(self.database)
+        self.store = ProvenanceStore()
         self._sync_store()
 
     def _sync_store(self) -> None:
-        """Re-index runs persisted here but absent from the store —
-        the rebuild path after reattaching to a recovered database
-        (tail runs are not persisted as segments; their graphs are)."""
-        if self.store.run_count() >= self.database.count(_RUNS):
-            return
-        missing = (
-            (row["run_id"], graph_from_json(row["graph"]))
-            for row in self.database.query(_RUNS).select(
-                "run_id", "graph").order_by("run_id").all()
-            if not self.store.has_run(row["run_id"])
-        )
-        self.store.ingest_repository_rows(missing)
+        """Index every run persisted here, in run-id order, from its
+        row's (latest) graph — the store keeps nothing of its own, so
+        this is how a repository attached to a recovered database gets
+        its lineage index back."""
+        if not self.database.count(_RUNS):
+            return  # a fresh database: skip the (counted) scan
+        for row in self.database.query(_RUNS).select(
+                "run_id", "graph").order_by("run_id").all():
+            self.store.ingest_graph(row["run_id"],
+                                    graph_from_json(row["graph"]))
 
     # ------------------------------------------------------------------
     # writes

@@ -14,10 +14,10 @@ the provenance record in a form sized for decades of appends:
 * :mod:`~repro.provenance.store.queries` — iterative frontier
   traversals under explicit node/depth budgets;
 * :mod:`~repro.provenance.store.store` — the
-  :class:`~repro.provenance.store.store.ProvenanceStore` facade wiring
-  segments to the storage engine (segment rows + a counts manifest)
-  and exposing ``ancestors`` / ``descendants`` / ``cached_from_chain``
-  / ``runs_for_artifact`` / ``derived_objects``.
+  :class:`~repro.provenance.store.store.ProvenanceStore` facade: an
+  in-memory index over the repository's run rows, rebuilt from them on
+  attach, exposing ``ancestors`` / ``descendants`` /
+  ``cached_from_chain`` / ``runs_for_artifact`` / ``derived_objects``.
 """
 
 from repro.provenance.store.columnar import (

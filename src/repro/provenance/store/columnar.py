@@ -30,7 +30,7 @@ from __future__ import annotations
 
 from array import array
 from bisect import bisect_left
-from typing import Any, Iterator, Mapping
+from typing import Iterator
 
 from repro.errors import ProvenanceError
 from repro.provenance.opm import OPMGraph
@@ -47,7 +47,7 @@ __all__ = [
     "CACHED_FROM",
 ]
 
-#: node kind -> code (order is load-bearing for payload compatibility)
+#: node kind -> code
 KIND_CODES: dict[str, int] = {"artifact": 0, "process": 1, "agent": 2}
 KIND_NAMES: dict[int, str] = {v: k for k, v in KIND_CODES.items()}
 
@@ -142,7 +142,6 @@ class SegmentBuilder:
     def __init__(self, segment_id: str, pool: StringPool) -> None:
         self.segment_id = segment_id
         self.pool = pool
-        self.pool_base = len(pool)
         self.run_sids: list[int] = []
         # node columns
         self.node_sids: list[int] = []
@@ -246,7 +245,6 @@ class SegmentBuilder:
             array(SID, self.edge_effects),
             array(SID, self.edge_causes),
             array(SID, self.edge_roles),
-            pool_base=self.pool_base,
         )
 
 
@@ -259,8 +257,7 @@ class SealedSegment:
                  node_sids: array, node_kinds: array,
                  node_labels: array, node_runs: array,
                  edge_kinds: array, edge_effects: array,
-                 edge_causes: array, edge_roles: array,
-                 pool_base: int = 0) -> None:
+                 edge_causes: array, edge_roles: array) -> None:
         self.segment_id = segment_id
         self.run_sids = run_sids
         self.node_sids = node_sids
@@ -271,7 +268,6 @@ class SealedSegment:
         self.edge_effects = edge_effects
         self.edge_causes = edge_causes
         self.edge_roles = edge_roles
-        self.pool_base = pool_base
         self._forward, self._backward = self._build_adjacency()
         self._node_runs_index = CSRIndex.build(
             list(zip(node_sids, node_runs)))
@@ -346,55 +342,3 @@ class SealedSegment:
         indexes += (self._node_runs_index.nbytes
                     + self._run_nodes_index.nbytes)
         return columns + indexes
-
-    # -- persistence ---------------------------------------------------
-
-    def to_payload(self, pool: StringPool) -> dict[str, Any]:
-        """The JSON-serializable persisted form.  ``pool_delta`` is the
-        slice of the pool this segment introduced; replaying segments
-        in seal order rebuilds the full dictionary."""
-        return {
-            "format": 1,
-            "segment_id": self.segment_id,
-            "pool_base": self.pool_base,
-            "pool_delta": pool.slice_from(self.pool_base),
-            "runs": list(self.run_sids),
-            "node_sids": list(self.node_sids),
-            "node_kinds": list(self.node_kinds),
-            "node_labels": list(self.node_labels),
-            "node_runs": list(self.node_runs),
-            "edge_kinds": list(self.edge_kinds),
-            "edge_effects": list(self.edge_effects),
-            "edge_causes": list(self.edge_causes),
-            "edge_roles": list(self.edge_roles),
-        }
-
-    @classmethod
-    def from_payload(cls, payload: Mapping[str, Any],
-                     pool: StringPool) -> "SealedSegment":
-        """Rebuild a segment, extending ``pool`` with the persisted
-        delta.  Payloads must be replayed in seal order."""
-        if payload.get("format") != 1:
-            raise ProvenanceError(
-                f"unknown segment payload format "
-                f"{payload.get('format')!r}")
-        pool_base = int(payload["pool_base"])
-        if pool_base != len(pool):
-            raise ProvenanceError(
-                f"segment {payload.get('segment_id')!r} expects pool "
-                f"base {pool_base} but pool has {len(pool)} entries "
-                "(segments replayed out of order?)")
-        pool.extend(payload["pool_delta"])
-        return cls(
-            str(payload["segment_id"]),
-            array(SID, payload["runs"]),
-            array(SID, payload["node_sids"]),
-            array("b", payload["node_kinds"]),
-            array(SID, payload["node_labels"]),
-            array(SID, payload["node_runs"]),
-            array("b", payload["edge_kinds"]),
-            array(SID, payload["edge_effects"]),
-            array(SID, payload["edge_causes"]),
-            array(SID, payload["edge_roles"]),
-            pool_base=pool_base,
-        )

@@ -8,16 +8,13 @@ agent ids and content digests over and over; paying for each string
 once and shipping 8-byte ints through the columnar segments is the
 single biggest memory lever the store has.
 
-The pool is append-only (sids are stable forever, which is what lets
-sealed segments stay immutable) and segment payloads persist it as
-*deltas*: each sealed segment carries only the strings interned since
-the previous seal, so reloading segments in order reconstructs the
-exact pool.
+The pool is append-only: sids are stable forever, which is what lets
+sealed segments stay immutable.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator
+from typing import Iterator
 
 from repro.errors import ProvenanceError
 
@@ -68,25 +65,3 @@ class StringPool:
                 f"sid {sid} is not in the string pool "
                 f"({len(self._strings)} entries)"
             ) from None
-
-    def slice_from(self, start: int) -> list[str]:
-        """The strings interned at or after sid ``start`` — the delta a
-        sealed segment persists."""
-        if start < 0 or start > len(self._strings):
-            raise ProvenanceError(
-                f"invalid pool delta start {start} "
-                f"(pool has {len(self._strings)} entries)"
-            )
-        return self._strings[start:]
-
-    def extend(self, strings: Iterable[str]) -> None:
-        """Re-append a persisted delta (reload path).  Deltas must be
-        replayed in seal order; an out-of-order replay shows up as a
-        string that is already interned."""
-        for text in strings:
-            if text in self._sids:
-                raise ProvenanceError(
-                    f"pool delta replayed out of order: {text!r} is "
-                    "already interned"
-                )
-            self.intern(text)

@@ -184,9 +184,10 @@ def cached_chain(segments: Sequence, start_sid: int, *,
     that originally produced its outputs.
 
     Returns (chain of sids starting at ``start_sid``, truncated).  A
-    process has at most one replay source; duplicate edges (the same
-    run re-ingested is impossible, but a corrupted segment is not) and
-    cycles terminate the walk with ``truncated=True``.
+    process has at most one replay source, so the walk follows the
+    first edge it finds; a cycle (replay annotations that loop back,
+    which only hand-built or damaged graphs hold) terminates the walk
+    with ``truncated=True``.
     """
     code = EDGE_CODES[CACHED_FROM]
     chain = [start_sid]

@@ -5,29 +5,26 @@ memory" with a compact, queryable archive:
 
 * every string interned once (:mod:`~repro.provenance.store.interning`),
 * graphs appended to an **active tail** segment and periodically
-  **sealed** into immutable columnar segments with CSR adjacency
-  (:mod:`~repro.provenance.store.columnar`),
-* sealed segments persisted through the existing storage engine — one
-  row per segment in ``provstore_segments``; the counts ("how many runs
-  are archived") live in memory, recomputed from the sealed segments on
-  attach, so they never require a scan,
+  **sealed** — compacted in memory into immutable columnar segments
+  with CSR adjacency (:mod:`~repro.provenance.store.columnar`),
+* the counts ("how many runs are archived") kept as running totals,
+  so they never require a scan,
 * lineage answered by bounded frontier walks
   (:mod:`~repro.provenance.store.queries`).
 
-The store is an *index*, not the system of record: the
+The store is an in-memory *index*, not the system of record: the
 :class:`~repro.provenance.repository.ProvenanceRepository` keeps the
-full per-run graphs (labels, values, annotations), and the store keeps
-the cross-run skeleton (ids + typed edges) that lineage queries touch.
-Losing the store therefore loses nothing — it is rebuilt from the
-repository's rows, which is exactly what the attach path does for runs
-that never made it into a sealed segment.
+full per-run graphs (labels, values, annotations) as durable rows, and
+the store keeps the cross-run skeleton (ids + typed edges) that
+lineage queries touch.  Nothing of the store is persisted; attaching a
+repository to a database rebuilds it from the run rows.
 """
 
 from __future__ import annotations
 
-import json
+import threading
 from array import array
-from typing import Any, Iterable, Iterator
+from typing import Any, Iterable
 
 from repro.errors import ProvenanceError
 from repro.provenance.opm import OPMGraph
@@ -45,44 +42,38 @@ from repro.provenance.store.queries import (
     frontier_walk,
     resolve_edge_codes,
 )
-from repro.storage import Column, Database, TableSchema
-from repro.storage import column_types as ct
 
 __all__ = ["ProvenanceStore", "DEFAULT_RUNS_PER_SEGMENT"]
 
 #: runs accumulated in the active tail before it is sealed
 DEFAULT_RUNS_PER_SEGMENT = 256
 
-_SEGMENTS = "provstore_segments"
-
 _ARTIFACT = KIND_CODES["artifact"]
 _VAULT_PREFIX = "cas:"
 
 
 class ProvenanceStore:
-    """Interned, columnar, segment-persisted provenance archive.
+    """Interned, columnar, in-memory provenance index.
 
     Parameters
     ----------
-    database:
-        Storage engine holding the segment table; a fresh in-memory
-        database when omitted.  Pre-existing sealed segments are loaded
-        (in seal order) on attach.
     runs_per_segment:
         Tail size that triggers an automatic :meth:`seal`.
 
-    Writers (:meth:`ingest_graph`, :meth:`seal`) hold the database's
-    write lock, so concurrent ingests never seal one tail twice.
-    Metrics go to the process-wide telemetry sink.
+    Writers (:meth:`ingest_graph`, :meth:`seal`) hold the store's lock,
+    so concurrent ingests never seal one tail twice; readers take one
+    :meth:`snapshot` under it.  Metrics go to the process-wide
+    telemetry sink.
     """
 
-    def __init__(self, database: Database | None = None,
+    def __init__(self,
                  runs_per_segment: int = DEFAULT_RUNS_PER_SEGMENT) -> None:
         if runs_per_segment < 1:
             raise ProvenanceError("runs_per_segment must be >= 1")
         from repro.telemetry import get_telemetry
 
-        self.database = database or Database("provenance_store")
+        # reentrant: ingest_graph seals while it holds the lock
+        self._lock = threading.RLock()
         self.runs_per_segment = runs_per_segment
         self.telemetry = get_telemetry()
         self.pool = StringPool()
@@ -93,44 +84,12 @@ class ProvenanceStore:
         self._runs_sealed = 0
         self._nodes_total = 0
         self._edges_total = 0
-        self._ensure_table()
-        self._load_segments()
         self.tail = SegmentBuilder(self._next_segment_id(), self.pool)
         self._publish_gauges()
 
     # ------------------------------------------------------------------
-    # persistence plumbing
+    # bookkeeping
     # ------------------------------------------------------------------
-
-    def _ensure_table(self) -> None:
-        if not self.database.has_table(_SEGMENTS):
-            self.database.create_table(TableSchema(_SEGMENTS, [
-                Column("seq", ct.INTEGER),
-                Column("segment_id", ct.TEXT, nullable=False),
-                Column("runs", ct.INTEGER, nullable=False),
-                Column("nodes", ct.INTEGER, nullable=False),
-                Column("edges", ct.INTEGER, nullable=False),
-                Column("payload", ct.JSON, nullable=False),
-            ], primary_key="seq"))
-
-    def _load_segments(self) -> None:
-        rows = self.database.query(_SEGMENTS).order_by("seq").all()
-        for row in rows:
-            payload = row["payload"]
-            if isinstance(payload, str):  # compact text persistence
-                payload = json.loads(payload)
-            segment = SealedSegment.from_payload(payload, self.pool)
-            self._index_segment(segment)
-            self.segments.append(segment)
-            self._runs_sealed += segment.n_runs
-            self._nodes_total += segment.n_nodes
-            self._edges_total += segment.n_edges
-
-    def _index_segment(self, segment: SealedSegment) -> None:
-        self._grow_kinds()
-        for sid, kind in zip(segment.node_sids, segment.node_kinds):
-            self._kinds[sid] = kind
-        self._run_sids.update(segment.run_sids)
 
     def _grow_kinds(self) -> None:
         missing = len(self.pool) - len(self._kinds)
@@ -175,11 +134,11 @@ class ProvenanceStore:
 
         Returns ``False`` (and counts a skip) when the run is already
         archived: segments are append-only, so a re-captured run keeps
-        its first archived skeleton — the repository row still carries
-        the latest full graph.
+        its first archived skeleton — the repository row carries the
+        latest full graph, which is what an attach indexes.
         """
         metrics = self.telemetry.metrics
-        with self.database.exclusive():
+        with self._lock:
             if self.has_run(run_id):
                 metrics.counter("provstore_reingest_skipped_total").inc()
                 return False
@@ -201,41 +160,17 @@ class ProvenanceStore:
                 self._publish_gauges()
         return True
 
-    def ingest_repository_rows(self, rows: Iterable[tuple[str, OPMGraph]]
-                               ) -> int:
-        """Bulk (re-)ingest ``(run_id, graph)`` pairs — the rebuild
-        path for runs persisted in the repository but absent here
-        (e.g. tail runs lost with the process)."""
-        ingested = 0
-        for run_id, graph in rows:
-            if self.ingest_graph(run_id, graph):
-                ingested += 1
-        return ingested
-
     def seal(self) -> str | None:
-        """Seal the active tail into an immutable persisted segment.
+        """Compact the active tail into an immutable sealed segment.
         Returns the new segment id, or ``None`` for an empty tail."""
-        with self.database.exclusive():
+        with self._lock:
             if self.tail.n_runs == 0:
                 return None
             segment = self.tail.seal()
-            # persisted as one compact JSON string: a text blob is ~8x
-            # lighter in-process than the equivalent dict of int lists
-            payload = json.dumps(segment.to_payload(self.pool),
-                                 separators=(",", ":"))
-            self.database.insert(_SEGMENTS, {
-                "seq": len(self.segments) + 1,
-                "segment_id": segment.segment_id,
-                "runs": segment.n_runs,
-                "nodes": segment.n_nodes,
-                "edges": segment.n_edges,
-                "payload": payload,
-            })
             self.segments.append(segment)
             self._runs_sealed += segment.n_runs
             self.tail = SegmentBuilder(self._next_segment_id(), self.pool)
-            self.telemetry.metrics.counter(
-                "provstore_segments_sealed_total").inc()
+            self.telemetry.metrics.counter("provstore_seals_total").inc()
             self._publish_gauges()
         return segment.segment_id
 
@@ -243,11 +178,13 @@ class ProvenanceStore:
     # queries
     # ------------------------------------------------------------------
 
-    def _query_segments(self) -> list:
-        segments: list = list(self.segments)
-        if self.tail.n_runs:
-            segments.append(self.tail)
-        return segments
+    def snapshot(self) -> list[Any]:
+        """The sealed segments and the (possibly empty) active tail,
+        read together under the lock: a query racing :meth:`seal` finds
+        each run in the tail it copied or in the segment sealed from
+        it, never in neither."""
+        with self._lock:
+            return [*self.segments, self.tail]
 
     def _count_query(self, kind: str) -> None:
         self.telemetry.metrics.counter("provstore_queries_total",
@@ -263,7 +200,7 @@ class ProvenanceStore:
                 or self._kinds[sid] < 0:
             return LineageResult(node_id, direction, [], False, 0, 0)
         seen, truncated, visited, depth = frontier_walk(
-            self._query_segments(), (sid,),
+            self.snapshot(), (sid,),
             codes=resolve_edge_codes(kinds),
             forward=forward, budget=budget)
         if truncated:
@@ -309,7 +246,7 @@ class ProvenanceStore:
         if sid is None:
             return {"chain": [process_id], "origin": process_id,
                     "truncated": False}
-        chain, truncated = cached_chain(self._query_segments(), sid,
+        chain, truncated = cached_chain(self.snapshot(), sid,
                                         budget=budget)
         if truncated:
             self.telemetry.metrics.counter(
@@ -326,7 +263,7 @@ class ProvenanceStore:
         if sid is None:
             return []
         run_sids: set[int] = set()
-        for segment in self._query_segments():
+        for segment in self.snapshot():
             run_sids.update(segment.runs_of(sid))
         return sorted(self.pool.lookup(s) for s in run_sids)
 
@@ -343,14 +280,15 @@ class ProvenanceStore:
         run_sid = self.pool.get(run_id)
         if run_sid is None or run_sid not in self._run_sids:
             raise ProvenanceError(f"run {run_id!r} is not archived")
+        segments = self.snapshot()
         start_sids = sorted({
             sid
-            for segment in self._query_segments()
+            for segment in segments
             for sid in segment.nodes_of_run(run_sid)
             if self._kinds[sid] == _ARTIFACT
         })
         seen, truncated, __, __depth = frontier_walk(
-            self._query_segments(), start_sids,
+            segments, start_sids,
             codes=resolve_edge_codes(None), forward=False,
             budget=TraversalBudget())
         if truncated:
@@ -378,12 +316,9 @@ class ProvenanceStore:
     # ------------------------------------------------------------------
 
     def run_ids(self) -> list[str]:
-        return sorted(self.pool.lookup(sid) for sid in self._run_sids)
-
-    def iter_segments(self) -> Iterator[Any]:
-        """Sealed segments then the (possibly empty) active tail."""
-        yield from self.segments
-        yield self.tail
+        with self._lock:
+            sids = list(self._run_sids)
+        return sorted(self.pool.lookup(sid) for sid in sids)
 
     def memory_bytes(self) -> int:
         """Approximate resident bytes of sealed columns + indexes
@@ -402,7 +337,7 @@ class ProvenanceStore:
                  "runs": segment.n_runs,
                  "nodes": segment.n_nodes,
                  "edges": segment.n_edges}
-                for segment in self.iter_segments()
+                for segment in self.snapshot()
             ],
         })
         return counts

@@ -159,8 +159,7 @@ CATALOG: tuple[MetricSpec, ...] = (
         ("provstore_sealed_segments", "gauge", "sealed segments now"),
         ("provstore_tail_runs", "gauge", "tail runs now"),
         ("provstore_pool_strings", "gauge", "interned strings now"),
-        ("provstore_segments_sealed_total", "counter",
-         "segment seal operations"),
+        ("provstore_seals_total", "counter", "segment seal operations"),
         ("provstore_queries_total", "counter", "lineage queries"),
         ("provstore_truncations_total", "counter",
          "budget-truncated queries"),

@@ -1,5 +1,5 @@
-"""The archival provenance store: interning, segments, queries,
-persistence and the repository wiring."""
+"""The archival provenance store: interning, segments, queries and
+the repository wiring."""
 
 import datetime as dt
 import sys
@@ -15,7 +15,6 @@ from repro.provenance.repository import ProvenanceRepository
 from repro.provenance.store import (
     CSRIndex,
     ProvenanceStore,
-    SealedSegment,
     SegmentBuilder,
     StringPool,
     TraversalBudget,
@@ -67,23 +66,6 @@ class TestStringPool:
         with pytest.raises(ProvenanceError):
             pool.lookup(99)
 
-    def test_delta_replay(self):
-        pool = StringPool()
-        pool.intern("a")
-        base = len(pool)
-        pool.intern("b")
-        pool.intern("c")
-        replica = StringPool()
-        replica.intern("a")
-        replica.extend(pool.slice_from(base))
-        assert replica.get("c") == pool.get("c")
-
-    def test_extend_rejects_out_of_order_replay(self):
-        pool = StringPool()
-        pool.intern("a")
-        with pytest.raises(ProvenanceError):
-            pool.extend(["a"])
-
 
 class TestCSRIndex:
     def test_neighbors(self):
@@ -111,27 +93,6 @@ class TestSegments:
     def test_seal_empty_raises(self):
         with pytest.raises(ProvenanceError):
             SegmentBuilder("seg-e", StringPool()).seal()
-
-    def test_payload_round_trip(self):
-        pool = StringPool()
-        builder = SegmentBuilder("seg-p", pool)
-        builder.add_graph("r1", _graph("r1"))
-        sealed = builder.seal()
-        payload = sealed.to_payload(pool)
-        replica_pool = StringPool()
-        replica = SealedSegment.from_payload(payload, replica_pool)
-        assert replica.n_nodes == sealed.n_nodes
-        assert replica.n_edges == sealed.n_edges
-        assert replica_pool.get("r1/p") == pool.get("r1/p")
-
-    def test_from_payload_rejects_unknown_format(self):
-        pool = StringPool()
-        builder = SegmentBuilder("seg-f", pool)
-        builder.add_graph("r1", _graph("r1"))
-        payload = builder.seal().to_payload(pool)
-        payload["format"] = 99
-        with pytest.raises(ProvenanceError):
-            SealedSegment.from_payload(payload, StringPool())
 
 
 class TestProvenanceStore:
@@ -244,19 +205,6 @@ class TestProvenanceStore:
         with pytest.raises(ProvenanceError):
             store.derived_objects("r9")
 
-    def test_persistence_reload(self):
-        database = Database("prov_reload")
-        store = ProvenanceStore(database, runs_per_segment=2)
-        for i in range(3):
-            store.ingest_graph(f"r{i}", _graph(f"r{i}", 3))
-        sealed_answer = store.ancestors("r1/a2").node_ids
-        reloaded = ProvenanceStore(database, runs_per_segment=2)
-        # sealed segments come back; the tail run does not (that is
-        # the repository's re-sync job)
-        assert reloaded.manifest_counts()["segments_sealed"] == 1
-        assert reloaded.ancestors("r1/a2").node_ids == sealed_answer
-        assert not reloaded.has_run("r2")
-
     def test_stats_shape(self):
         store = ProvenanceStore()
         store.ingest_graph("r1", _graph("r1"))
@@ -298,9 +246,10 @@ class TestRepositoryIntegration:
 
     def test_reattach_resyncs_tail_runs(self):
         repository = self._engine_world(runs=3)
+        repository.store.seal()
         database = repository.database
-        # a fresh attach on the same database rebuilds the tail runs
-        # (persisted as repository rows, not as sealed segments)
+        # a fresh attach rebuilds the whole index, sealed runs included,
+        # from the repository rows
         fresh = ProvenanceRepository(database)
         assert fresh.store.run_count() == 3
         assert fresh.store.runs_for_artifact("run-0001/a1") \
@@ -353,8 +302,90 @@ class TestStoreWriters:
         assert errors == []
         assert len(repository) == threads_n * runs_each
         assert repository.store.run_count() == threads_n * runs_each
-        seqs = repository.database.query("provstore_segments").values("seq")
-        assert len(seqs) == len(set(seqs)) == 1
+        assert [segment.n_runs for segment in repository.store.segments] \
+            == [256]
+
+    def test_queries_never_miss_the_segment_being_sealed(self):
+        # a reader racing seal() must find every run either in the
+        # tail or in its new segment, so its answer never shrinks;
+        # many short trials keep each read cheap, so reads land inside
+        # the seal often
+        graphs = []
+        for n in range(40):
+            graph = OPMGraph(f"r{n}")
+            graph.add_artifact("cas:shared")
+            graph.add_process(f"r{n}/p")
+            graph.used(f"r{n}/p", "cas:shared")
+            graphs.append(graph)
+        backwards = []
+
+        def reader(store, done, trial):
+            last = 0
+            while not done.is_set():
+                seen = len(store.runs_for_artifact("cas:shared"))
+                if seen < last:
+                    backwards.append((trial, last, seen))
+                last = seen
+
+        previous = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for trial in range(100):
+                store = ProvenanceStore(runs_per_segment=2)
+                done = threading.Event()
+                thread = threading.Thread(target=reader,
+                                          args=(store, done, trial))
+                thread.start()
+                try:
+                    for graph in graphs:
+                        store.ingest_graph(graph.id, graph)
+                finally:
+                    done.set()
+                    thread.join(timeout=30)
+                assert not thread.is_alive()
+        finally:
+            sys.setswitchinterval(previous)
+        assert backwards == []
+
+    def test_run_ids_while_a_writer_ingests(self):
+        # iterating the run set while a writer added to it raised
+        # "Set changed size during iteration"
+        graphs = [_graph(f"r{n}") for n in range(1000)]
+        store = ProvenanceStore()
+        done = threading.Event()
+        errors = []
+
+        def reader():
+            try:
+                while not done.is_set():
+                    store.run_ids()
+            except RuntimeError as exc:  # reported through the assert below
+                errors.append(exc)
+
+        previous = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        thread = threading.Thread(target=reader)
+        thread.start()
+        try:
+            for graph in graphs:
+                store.ingest_graph(graph.id, graph)
+        finally:
+            done.set()
+            thread.join(timeout=30)
+            sys.setswitchinterval(previous)
+        assert not thread.is_alive()
+        assert errors == []
+
+    def test_two_repositories_share_one_database(self):
+        database = Database("provenance")
+        first = ProvenanceRepository(database)
+        second = ProvenanceRepository(database)
+        for repository, run_id in ((first, "r1"), (second, "r2")):
+            _store_run(repository, run_id)
+            assert repository.store.seal() is not None
+        third = ProvenanceRepository(database)
+        assert third.store.run_ids() == ["r1", "r2"]
+        assert third.runs_for_artifact("r2/a1") == ["r2"]
 
     def test_journal_with_the_old_manifest_table_still_attaches(
             self, tmp_path):
@@ -365,18 +396,29 @@ class TestStoreWriters:
             _store_run(repository, f"r{i}")
         repository.store.seal()
         _store_run(repository, "r3")
-        expected = repository.store.manifest_counts()
-        # earlier versions also kept these counters in a table of their
-        # own, rewritten on every stored run
+        counts = repository.store.manifest_counts()
+        # earlier versions also persisted the counters and each sealed
+        # segment in tables of their own
         database.create_table(TableSchema("provstore_manifest", [
             Column("key", ct.TEXT),
             Column("value", ct.INTEGER, nullable=False),
         ], primary_key="key"))
         database.bulk_load("provstore_manifest", [
-            {"key": key, "value": value} for key, value in expected.items()])
+            {"key": key, "value": value} for key, value in counts.items()])
+        database.create_table(TableSchema("provstore_segments", [
+            Column("seq", ct.INTEGER),
+            Column("segment_id", ct.TEXT, nullable=False),
+            Column("payload", ct.JSON, nullable=False),
+        ], primary_key="seq"))
+        database.insert("provstore_segments", {
+            "seq": 1, "segment_id": "seg-00001",
+            "payload": '{"format":1,"runs":[0]}'})
 
         recovered = Database.recover("provenance", journal)
         assert recovered.has_table("provstore_manifest")
+        assert recovered.has_table("provstore_segments")
         reattached = ProvenanceRepository(recovered)
-        assert reattached.store.manifest_counts() == expected
+        kept = ("runs_total", "nodes_total", "edges_total", "pool_size")
+        assert {key: reattached.store.manifest_counts()[key]
+                for key in kept} == {key: counts[key] for key in kept}
         assert reattached.run_count() == 4

@@ -7,19 +7,25 @@ store's answers are compared against the obvious reference — merge all
 OPM graphs into one in-memory edge list and BFS it without any
 interning, segmentation or budgets.  Sealing points are randomized
 too, so the same corpus exercises sealed-CSR, tail-dict and mixed
-layouts; a persistence reload must not change any answer.
+layouts; a repository reattached to the recovered journal must not
+change any answer.
 """
 
 from __future__ import annotations
 
+import datetime as dt
+import tempfile
 from collections import deque
+from pathlib import Path
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.provenance.opm import OPMGraph
+from repro.provenance.repository import ProvenanceRepository
 from repro.provenance.store import ProvenanceStore, TraversalBudget
 from repro.storage import Database
+from repro.workflow.trace import WorkflowTrace
 
 # one corpus: [(run_id, graph spec)], where a spec fixes artifact
 # count, used/generated/derived wiring and an optional replay target
@@ -129,10 +135,9 @@ class BruteForceModel:
         return chain
 
 
-def _load(corpus, database=None):
+def _load(corpus):
     runs, seal_every = corpus
     store = ProvenanceStore(
-        database,
         runs_per_segment=seal_every if seal_every else 10_000)
     model = BruteForceModel()
     for spec in runs:
@@ -196,20 +201,31 @@ def test_budget_truncation_is_sound(corpus, max_nodes):
 @settings(max_examples=25, deadline=None)
 @given(corpora())
 def test_reload_preserves_sealed_answers(corpus):
-    """Whatever was sealed to the database answers identically after a
-    cold reload.  The tail is flushed first: unsealed runs live only in
-    the process (the repository rebuilds them on reattach), so a fair
-    reload comparison starts from an all-sealed store."""
-    database = Database("prov_diff")
-    store, model = _load(corpus, database=database)
-    store.seal()
+    """The store keeps nothing of its own: a repository attached to the
+    recovered journal rebuilds its index from the run rows alone, and
+    answers as the model does whatever was sealed before."""
     runs, seal_every = corpus
-    reloaded = ProvenanceStore(
-        database,
-        runs_per_segment=seal_every if seal_every else 10_000)
-    for run_id in reloaded.run_ids():
-        for node in sorted(model.nodes_by_run[run_id]):
-            assert reloaded.ancestors(node).node_ids \
-                == store.ancestors(node).node_ids
-            assert reloaded.runs_for_artifact(node) \
-                == store.runs_for_artifact(node)
+    model = BruteForceModel()
+    started = dt.datetime(2013, 1, 1, tzinfo=dt.timezone.utc)
+    with tempfile.TemporaryDirectory() as folder:
+        journal = Path(folder) / "provenance.journal"
+        repository = ProvenanceRepository(
+            Database("prov_diff", journal_path=journal))
+        for index, spec in enumerate(runs, start=1):
+            graph = _build_graph(spec)
+            trace = WorkflowTrace(spec[0], "w", started)
+            trace.finish(started, "completed")
+            repository.store_run(trace, graph)
+            model.add(spec[0], graph)
+            if seal_every and index % seal_every == 0:
+                repository.store.seal()
+        store = ProvenanceRepository(
+            Database.recover("prov_diff", journal)).store
+    every_node = set().union(*model.nodes_by_run.values())
+    for node in sorted(every_node):
+        assert store.ancestors(node).node_ids \
+            == model.closure(node, forward=True), node
+        assert store.runs_for_artifact(node) == model.runs_for(node)
+    for process in sorted(model.replays):
+        assert store.cached_from_chain(process)["chain"] \
+            == model.chain(process)
